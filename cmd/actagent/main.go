@@ -1,26 +1,27 @@
 // Command actagent replays recorded traces through a deployed monitor
-// and ships the resulting Debug Buffers to an actd collector — the
+// and ships the resulting Debug Buffers to actd collectors — the
 // standalone form of what act.ShipTo does inside an instrumented
 // program.
 //
 // Usage:
 //
 //	actagent -collector host:7077 -model m.act -outcome failing fail1.trace fail2.trace
-//	actagent -collector host:7077 -model m.act -outcome correct -spool /tmp/agent.spool ok.trace
+//	actagent -collector host:7077 -model m.act -outcome correct -spool /tmp/spools ok.trace
 //	actagent -collector host:7077 -model m.act -metrics-listen :9091 ...
 //	actagent -collectors shard0=h0:7077,shard1=h1:7077,shard2=h2:7077 -spool /tmp/spools ...
 //
 // Each trace file is shipped as its own run, so the collector's
 // cross-run counting sees one occurrence per file.
 //
-// With -collectors, batches route to a ring of actd shards by
-// consistent hashing of each sequence — a dead shard's traffic fails
-// over to its ring successor behind a per-shard circuit breaker, and
-// -spool names a directory of per-shard spool files instead of one
-// file.
+// Batches route to a ring of actd shards by consistent hashing of each
+// sequence; -collector ADDR is a ring of one. A dead shard's traffic
+// fails over to its ring successor behind a per-shard circuit breaker,
+// and what no shard takes lands in -spool, a directory holding one
+// spool file per shard (created if missing). A later invocation with
+// the same ring and -spool replays it.
 //
 // SIGINT/SIGTERM mid-ship routes through a readiness gate that closes
-// the in-flight agent first — flushing its queue to the collector or
+// the in-flight router first — flushing its queue to the collectors or
 // the spool — so an interrupted invocation loses no evidence a clean
 // exit would have kept.
 package main
@@ -37,19 +38,15 @@ import (
 
 	"act"
 	"act/internal/core"
-	"act/internal/fleet"
 	"act/internal/fleet/shard"
 	"act/internal/obs"
 	"act/internal/wire"
 )
 
-// current is the agent shipping right now, published for the shutdown
-// hook: closing it flushes queued batches to the collector or spool.
-// currentRouter is its sharded-tier counterpart (-collectors mode).
-var (
-	current       atomic.Pointer[fleet.Agent]
-	currentRouter atomic.Pointer[shard.Router]
-)
+// current is the router shipping right now, published for the
+// shutdown hook: closing it flushes queued batches to the collectors
+// or the spool.
+var current atomic.Pointer[shard.Router]
 
 func main() {
 	var (
@@ -59,7 +56,7 @@ func main() {
 		outcome    = flag.String("outcome", "unknown", "run outcome label: failing, correct, unknown")
 		name       = flag.String("name", "", "agent identity in batches; default hostname")
 		runBase    = flag.Uint64("run", 0, "base run id; default derived from time")
-		spool      = flag.String("spool", "", "spool file — or directory, with -collectors — for batches while a collector is down")
+		spool      = flag.String("spool", "", "directory for per-shard spool files holding batches while collectors are down")
 		dialTO     = flag.Duration("dial-timeout", 0, "collector connect timeout (0: the 5s default)")
 		metrics    = flag.String("metrics-listen", "", "address to serve /metrics, /healthz and /debug/pprof on (empty disables)")
 	)
@@ -70,6 +67,9 @@ func main() {
 	shards, err := parseCollectors(*collectors)
 	if err != nil {
 		fatal(err)
+	}
+	if shards == nil {
+		shards = map[string]string{*collector: *collector}
 	}
 	o, err := parseOutcome(*outcome)
 	if err != nil {
@@ -101,12 +101,7 @@ func main() {
 	health.OnShutdown("flush-current", func() {
 		// Close is idempotent and flushes queue and spool; evidence
 		// the collector cannot take lands on disk when -spool is set.
-		if ag := current.Load(); ag != nil {
-			if err := ag.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "actagent: shutdown flush:", err)
-			}
-		}
-		if rt := currentRouter.Load(); rt != nil {
+		if rt := current.Load(); rt != nil {
 			if err := rt.Close(); err != nil {
 				fmt.Fprintln(os.Stderr, "actagent: shutdown flush:", err)
 			}
@@ -115,11 +110,7 @@ func main() {
 	if *metrics != "" {
 		reg := obs.NewRegistry()
 		reg.GaugeFunc("act_up", "1 while the process is shipping.", func() float64 { return 1 })
-		if shards != nil {
-			shard.RegisterRouterMetrics(reg, func() *shard.Router { return currentRouter.Load() })
-		} else {
-			fleet.RegisterAgentMetrics(reg, func() *fleet.Agent { return current.Load() })
-		}
+		shard.RegisterRouterMetrics(reg, current.Load)
 		srv, err := obs.StartServer(*metrics, health, reg, obs.Default)
 		if err != nil {
 			fatal(err)
@@ -136,7 +127,7 @@ func main() {
 	}()
 
 	ship := shipConfig{
-		addr: *collector, shards: shards, name: *name,
+		shards: shards, name: *name,
 		spool: *spool, dialTimeout: *dialTO,
 	}
 	for i, path := range flag.Args() {
@@ -149,16 +140,14 @@ func main() {
 
 // shipConfig is the per-invocation transport setup shared by every run.
 type shipConfig struct {
-	addr        string            // single collector (-collector)
-	shards      map[string]string // sharded ring (-collectors), nil in single mode
+	shards      map[string]string // ring: shard name → collector address
 	name        string
-	spool       string // file in single mode, directory in sharded mode
+	spool       string // spool directory; "" disables spooling
 	dialTimeout time.Duration
 }
 
 // shipTrace replays one trace through a fresh monitor and ships its
-// Debug Buffer as one run — through a single agent, or through the
-// shard router when -collectors is set.
+// Debug Buffer as one run across the shard ring.
 func shipTrace(model *act.Model, path string, cfg shipConfig, run uint64, o wire.Outcome) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -174,47 +163,16 @@ func shipTrace(model *act.Model, path string, cfg shipConfig, run uint64, o wire
 	}
 	mon := act.Deploy(model, threadsOf(tr))
 	mon.Replay(tr)
-	src := &monSource{mon: mon}
 
-	if cfg.shards != nil {
-		return shipViaRouter(src, path, cfg, run, o)
-	}
-	ag, err := fleet.NewAgent(src, fleet.AgentConfig{
-		Addr: cfg.addr, Name: cfg.name, Run: run,
-		SpoolPath: cfg.spool, DialTimeout: cfg.dialTimeout,
-	})
-	if err != nil {
-		return err
-	}
-	current.Store(ag)
-	defer current.CompareAndSwap(ag, nil)
-	ag.SetOutcome(o)
-	ferr := ag.Flush()
-	if cerr := ag.Close(); ferr == nil {
-		ferr = cerr
-	}
-	st := ag.Stats()
-	fmt.Printf("actagent: %s: run %d, %d entries drained, %d batch(es) shipped, %d spooled\n",
-		path, run, st.Drained, st.Shipped, st.Spooled)
-	if ferr != nil && st.Spooled > 0 {
-		// The evidence is safe on disk; the next invocation replays it.
-		fmt.Fprintln(os.Stderr, "actagent:", ferr)
-		return nil
-	}
-	return ferr
-}
-
-// shipViaRouter routes one run's evidence across the shard ring.
-func shipViaRouter(src fleet.Source, path string, cfg shipConfig, run uint64, o wire.Outcome) error {
-	rt, err := shard.NewRouter(src, shard.RouterConfig{
+	rt, err := shard.NewRouter(&monSource{mon: mon}, shard.RouterConfig{
 		Shards: cfg.shards, Name: cfg.name, Run: run,
 		SpoolDir: cfg.spool, DialTimeout: cfg.dialTimeout,
 	})
 	if err != nil {
 		return err
 	}
-	currentRouter.Store(rt)
-	defer currentRouter.CompareAndSwap(rt, nil)
+	current.Store(rt)
+	defer current.CompareAndSwap(rt, nil)
 	rt.SetOutcome(o)
 	ferr := rt.Flush()
 	if cerr := rt.Close(); ferr == nil {
@@ -224,6 +182,7 @@ func shipViaRouter(src fleet.Source, path string, cfg shipConfig, run uint64, o 
 	fmt.Printf("actagent: %s: run %d, %d entries drained, %d batch(es) shipped across %d shard(s), %d rerouted, %d spooled\n",
 		path, run, st.Drained, st.Shipped, rt.Ring().Len(), st.Reroutes, st.Spooled)
 	if ferr != nil && st.Spooled > 0 {
+		// The evidence is safe on disk; the next invocation replays it.
 		fmt.Fprintln(os.Stderr, "actagent:", ferr)
 		return nil
 	}
@@ -231,7 +190,7 @@ func shipViaRouter(src fleet.Source, path string, cfg shipConfig, run uint64, o 
 }
 
 // parseCollectors parses the -collectors list: name=addr pairs, comma
-// separated. Empty input is the single-collector mode (nil map).
+// separated. Empty input returns a nil map.
 func parseCollectors(s string) (map[string]string, error) {
 	if s == "" {
 		return nil, nil
@@ -248,7 +207,7 @@ func parseCollectors(s string) (map[string]string, error) {
 	return out, nil
 }
 
-// monSource adapts the replayed monitor to the fleet agent.
+// monSource adapts the replayed monitor to the router.
 type monSource struct{ mon *act.Monitor }
 
 func (s *monSource) Drain() ([]act.DebugEntry, core.Stats) {

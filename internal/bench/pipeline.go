@@ -90,6 +90,32 @@ func pipelineTrace(m Mode) (*trace.Trace, int) {
 	return tr, passes
 }
 
+// pipelineLargeRecords is the size the radix trace is tiled to for the
+// "large-" rows. At 478 records a pass is dominated by per-pass setup
+// (parallel replay's worker spin-up); a million records amortize it,
+// which is the regime a production trace is in.
+const pipelineLargeRecords = 1 << 20
+
+// tileTrace repeats tr's records until the result holds at least n,
+// shifting each tile's instruction numbers past the previous tile's so
+// the tiled trace stays in program order.
+func tileTrace(tr *trace.Trace, n int) *trace.Trace {
+	out := &trace.Trace{Program: tr.Program, Seed: tr.Seed}
+	if len(tr.Records) == 0 {
+		return out
+	}
+	span := tr.Records[len(tr.Records)-1].Seq + 1
+	out.Records = make([]trace.Record, 0, n+len(tr.Records))
+	for tile := uint64(0); len(out.Records) < n; tile++ {
+		for _, r := range tr.Records {
+			r.Seq += tile * span
+			out.Records = append(out.Records, r)
+		}
+		out.Steps += tr.Steps
+	}
+	return out
+}
+
 // pipelineMinDur is the wall-time floor for one timed measurement; see
 // runPipeline.
 func pipelineMinDur(m Mode) time.Duration {
@@ -166,11 +192,13 @@ func runPipeline(tr *trace.Trace, threads, minPasses int, minDur time.Duration, 
 	return row
 }
 
-// Pipeline measures the six pipeline configurations on the same trace
-// in one run: sequential and parallel replay, each without and with the
-// verdict cache, plus both with the quantized int16 batch kernel.
-// Speedups are relative to the plain sequential row, and the
-// sequential+quant ratio is asserted against QuantFloor.
+// Pipeline measures the pipeline configurations on the same trace in
+// one run: sequential and parallel replay, each without and with the
+// verdict cache, with the quantized int16 batch kernel, and with
+// checkpointing; then sequential and parallel, float and quant, on the
+// trace tiled to pipelineLargeRecords. Speedups are relative to the
+// plain sequential row of the same trace size, and the sequential+quant
+// ratio is asserted against QuantFloor.
 func Pipeline(m Mode) (*PipelineReport, error) {
 	tr, passes := pipelineTrace(m)
 	threads := 4
@@ -204,15 +232,9 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 	}
 	rep := &PipelineReport{Workload: "radix", QuantFloor: 3.0}
 	for _, c := range configs {
-		// Best of three runs, like the obs experiment: the asserted
-		// ratios are about systematic cost, not scheduler jitter.
-		var row PipelineRow
-		for i := 0; i < 3; i++ {
-			r := runPipeline(tr, threads, passes, pipelineMinDur(m), c.parallel, c.cache, c.quant, c.ck)
-			if r.RecordsPerSec > row.RecordsPerSec {
-				row = r
-			}
-		}
+		row := bestOfThree(func() PipelineRow {
+			return runPipeline(tr, threads, passes, pipelineMinDur(m), c.parallel, c.cache, c.quant, c.ck)
+		})
 		row.Config = c.name
 		rep.Rows = append(rep.Rows, row)
 	}
@@ -221,6 +243,31 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 		if base > 0 {
 			rep.Rows[i].Speedup = rep.Rows[i].RecordsPerSec / base
 		}
+	}
+	// Large-trace rows: the same trace tiled to a million records, one
+	// timed pass per run. Their speedups are against large-sequential.
+	large := tileTrace(tr, pipelineLargeRecords)
+	largeBase := 0.0
+	for _, c := range []struct {
+		name            string
+		parallel, quant bool
+	}{
+		{"large-sequential", false, false},
+		{"large-parallel", true, false},
+		{"large-sequential+quant", false, true},
+		{"large-parallel+quant", true, true},
+	} {
+		row := bestOfThree(func() PipelineRow {
+			return runPipeline(large, threads, 1, 0, c.parallel, 0, c.quant, core.CheckpointConfig{})
+		})
+		row.Config = c.name
+		if largeBase == 0 {
+			largeBase = row.RecordsPerSec
+		}
+		if largeBase > 0 {
+			row.Speedup = row.RecordsPerSec / largeBase
+		}
+		rep.Rows = append(rep.Rows, row)
 	}
 	// The asserted ratio comes from paired attempts, not the table rows:
 	// each pair times float then quant back to back, so a slow stretch
@@ -240,6 +287,18 @@ func Pipeline(m Mode) (*PipelineReport, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// bestOfThree keeps the fastest of three runs, like the obs experiment:
+// the rows are about systematic cost, not scheduler jitter.
+func bestOfThree(run func() PipelineRow) PipelineRow {
+	var best PipelineRow
+	for i := 0; i < 3; i++ {
+		if r := run(); r.RecordsPerSec > best.RecordsPerSec {
+			best = r
+		}
+	}
+	return best
 }
 
 // measureCkptOverhead fills the ckpt_* report fields: the best-observed
@@ -305,12 +364,13 @@ func RenderPipeline(rep *PipelineReport) string {
 	}
 	return table("Config\tRecords/s\tns/dep\tAllocs/dep\tCacheHit%\tSpeedup", out) +
 		fmt.Sprintf("(workload %s, %d threads, GOMAXPROCS=%d; speedup vs sequential\n"+
-			" in the same run; parallel gains require GOMAXPROCS > 1;\n"+
+			" in the same run, large- rows vs large-sequential (trace tiled\n"+
+			" to %d records); parallel gains require GOMAXPROCS > 1;\n"+
 			" +ckpt rows fsync 4 images per pass — see ckpt overhead below\n"+
 			" for the production cadence)\n"+
 			"quant speedup %.2fx (floor %.1fx: %s)\n"+
 			"ckpt overhead %.3f%% (%.0fµs/image, %d B, every %d records; ceil %.0f%%: %s)\n",
-			rep.Workload, rep.Rows[0].Threads, rep.Rows[0].GOMAXPROCS,
+			rep.Workload, rep.Rows[0].Threads, rep.Rows[0].GOMAXPROCS, pipelineLargeRecords,
 			rep.QuantSpeedup, rep.QuantFloor, ok,
 			100*rep.CkptOverhead, rep.CkptNsPerImage/1e3, rep.CkptBytes,
 			rep.CkptInterval, 100*rep.CkptCeil, ckOK)

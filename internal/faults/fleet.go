@@ -382,16 +382,12 @@ func runFleetArm(kind FleetKind, in *Injector, runs []fleetRun, cfg FleetCampaig
 	runners := make([]runner, len(runs))
 	for i, r := range runs {
 		src := &campaignSource{}
-		spoolDir := filepath.Join(armDir, "spool-"+r.name)
-		if err := os.MkdirAll(spoolDir, 0o755); err != nil {
-			return FleetRow{}, err
-		}
 		rt, err := shard.NewRouter(src, shard.RouterConfig{
 			Shards:   names,
 			Name:     r.name,
 			Run:      r.run,
 			Retry:    loader.RetryConfig{Attempts: 2, Sleep: func(time.Duration) {}},
-			SpoolDir: spoolDir,
+			SpoolDir: filepath.Join(armDir, "spool-"+r.name),
 			Breaker: shard.BreakerConfig{
 				Threshold: 1,
 				BaseDelay: time.Microsecond,

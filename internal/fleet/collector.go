@@ -1,3 +1,26 @@
+// Package fleet moves ACT's production telemetry off the box and merges
+// it centrally. The paper's Debug Buffer and misprediction statistics
+// are produced on end-user machines; diagnosing at production scale is
+// an aggregation problem — many instances, one aggregate. A shipping
+// client (shard.Router, behind act.ShipTo and actagent) periodically
+// drains a deployed monitor's Debug Buffers into bounded batches and
+// ships them over TCP in the wire format; the Collector receives
+// batches from the whole fleet, deduplicates re-deliveries, counts
+// per-sequence occurrences across runs, and ranks the merged evidence
+// so a sequence seen in many failing runs but few correct ones
+// surfaces first.
+//
+// Besides the Collector, this package holds what a shipping client
+// builds on: the Source it drains, the spool file format, and the
+// write-deadline wrapper. The transport is at-least-once by design:
+// the client retries with capped backoff (reusing internal/loader's
+// transient/permanent classification), spools batches to disk while
+// the collector is down, and replays the spool on reconnect. The
+// collector makes redelivery harmless by dropping batches whose
+// sequence hash it has already ingested, and the wire format's
+// per-frame CRCs let a connection survive torn or corrupted frames.
+//
+//act:goleak
 package fleet
 
 import (

@@ -1,4 +1,4 @@
-package fleet
+package fleet_test
 
 import (
 	"errors"
@@ -12,6 +12,8 @@ import (
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/fleet"
+	"act/internal/fleet/shard"
 	"act/internal/loader"
 	"act/internal/ranking"
 	"act/internal/wire"
@@ -113,13 +115,13 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // startCollector serves a collector on a loopback listener.
-func startCollector(t *testing.T, cfg CollectorConfig) (*Collector, string) {
+func startCollector(t *testing.T, cfg fleet.CollectorConfig) (*fleet.Collector, string) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCollector(cfg)
+	c := fleet.NewCollector(cfg)
 	go c.Serve(ln)
 	t.Cleanup(c.Shutdown)
 	return c, ln.Addr().String()
@@ -130,29 +132,33 @@ func quickRetry(attempts int) loader.RetryConfig {
 	return loader.RetryConfig{Attempts: attempts, Sleep: func(time.Duration) {}}
 }
 
+// oneShard is the ring of a single-collector shipper: act.ShipTo and
+// actagent -collector name the one shard after its address.
+func oneShard(addr string) map[string]string { return map[string]string{addr: addr} }
+
 // runFleet ships the scenario through a loopback collector, wrapping
-// each agent's dialer with mkDial (nil = stock TCP), and returns the
+// each router's dialer with mkDial (nil = stock TCP), and returns the
 // collector once all five runs have been ingested.
-func runFleet(t *testing.T, mkDial func(agent string) func(string) (net.Conn, error)) *Collector {
+func runFleet(t *testing.T, mkDial func(agent string) func(string) (net.Conn, error)) *fleet.Collector {
 	t.Helper()
-	c, addr := startCollector(t, CollectorConfig{})
+	c, addr := startCollector(t, fleet.CollectorConfig{})
 	ship := func(name string, run uint64, o wire.Outcome, entries []core.DebugEntry) {
 		src := &stubSource{}
 		src.push(entries...)
-		cfg := AgentConfig{Addr: addr, Name: name, Run: run, Retry: quickRetry(8)}
+		cfg := shard.RouterConfig{Shards: oneShard(addr), Name: name, Run: run, Retry: quickRetry(8)}
 		if mkDial != nil {
 			cfg.Dial = mkDial(name)
 		}
-		ag, err := NewAgent(src, cfg)
+		rt, err := shard.NewRouter(src, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ag.SetOutcome(o)
-		if err := ag.Flush(); err != nil {
-			t.Fatalf("agent %s flush: %v", name, err)
+		rt.SetOutcome(o)
+		if err := rt.Flush(); err != nil {
+			t.Fatalf("router %s flush: %v", name, err)
 		}
-		if err := ag.Close(); err != nil {
-			t.Fatalf("agent %s close: %v", name, err)
+		if err := rt.Close(); err != nil {
+			t.Fatalf("router %s close: %v", name, err)
 		}
 	}
 	for i := 0; i < 3; i++ {
@@ -166,7 +172,7 @@ func runFleet(t *testing.T, mkDial func(agent string) func(string) (net.Conn, er
 
 // --- the acceptance-criterion tests -----------------------------------
 
-// TestFleetLoopbackCrossRunRank1: three agents replaying failing runs
+// TestFleetLoopbackCrossRunRank1: three shippers replaying failing runs
 // and two replaying correct runs ship to one in-process collector over
 // real TCP; the cross-run ranked report places the bug sequence at
 // rank 1 even though a single-run ranking would not.
@@ -201,7 +207,7 @@ func TestFleetLoopbackCrossRunRank1(t *testing.T) {
 // faultConn injects one fault per connection, scripted by dial order:
 // connection 0 delivers a corrupted frame then reports a write error;
 // connection 1 disconnects mid-batch; connection 2 delivers cleanly but
-// claims failure (so the agent redelivers a duplicate); later
+// claims failure (so the shipper redelivers a duplicate); later
 // connections behave.
 type faultConn struct {
 	net.Conn
@@ -236,7 +242,7 @@ func TestFleetSurvivesFaultsRankingUnchanged(t *testing.T) {
 	var dials int32
 	mkDial := func(agent string) func(string) (net.Conn, error) {
 		if agent != "f0" {
-			return nil // stock dialer for the other agents
+			return nil // stock dialer for the other shippers
 		}
 		return func(addr string) (net.Conn, error) {
 			conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
@@ -259,20 +265,25 @@ func TestFleetSurvivesFaultsRankingUnchanged(t *testing.T) {
 	}
 }
 
-// --- agent behaviour ---------------------------------------------------
+// --- shipper behaviour (a one-shard router) ----------------------------
+
+// spoolFile is where a one-shard router spools for the shard named
+// name under dir.
+func spoolFile(dir, name string) string { return filepath.Join(dir, name+".spool") }
 
 func TestFleetSpoolAndReplay(t *testing.T) {
-	spool := filepath.Join(t.TempDir(), "spool.actw")
+	dir := t.TempDir()
+	spool := spoolFile(dir, "collector")
 	var up atomic.Bool
 	var realAddr atomic.Value // string, set once the collector exists
 
 	src := &stubSource{}
-	ag, err := NewAgent(src, AgentConfig{
-		Addr:      "collector:0", // resolved through the test dialer
-		Name:      "spooler",
-		Run:       7,
-		SpoolPath: spool,
-		Retry:     quickRetry(2),
+	rt, err := shard.NewRouter(src, shard.RouterConfig{
+		Shards:   map[string]string{"collector": "collector:0"}, // resolved through the test dialer
+		Name:     "spooler",
+		Run:      7,
+		SpoolDir: dir,
+		Retry:    quickRetry(2),
 		Dial: func(string) (net.Conn, error) {
 			if !up.Load() {
 				return nil, errors.New("injected: collector down")
@@ -283,33 +294,33 @@ func TestFleetSpoolAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag.SetOutcome(wire.OutcomeFailing)
+	rt.SetOutcome(wire.OutcomeFailing)
 
 	src.push(failingEntries(0)...)
-	if err := ag.Flush(); err == nil {
+	if err := rt.Flush(); err == nil {
 		t.Fatal("flush succeeded with collector down")
 	}
 	src.push(entryOf(seqOf(20, 21, 22), -0.9))
-	if err := ag.Flush(); err == nil {
+	if err := rt.Flush(); err == nil {
 		t.Fatal("second flush succeeded with collector down")
 	}
-	if st := ag.Stats(); st.Spooled != 2 || st.Shipped != 0 {
+	if st := rt.Stats(); st.Spooled != 2 || st.Shipped != 0 {
 		t.Fatalf("stats after outage: %+v", st)
 	}
 	if fi, err := os.Stat(spool); err != nil || fi.Size() == 0 {
 		t.Fatalf("spool file missing or empty: %v", err)
 	}
 
-	c, addr := startCollector(t, CollectorConfig{})
+	c, addr := startCollector(t, fleet.CollectorConfig{})
 	realAddr.Store(addr)
 	up.Store(true)
-	if err := ag.Flush(); err != nil {
+	if err := rt.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if err := ag.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ag.Stats(); st.Replayed != 2 {
+	if st := rt.Stats(); st.Replayed != 2 {
 		t.Fatalf("replayed = %d, want 2: %+v", st.Replayed, st)
 	}
 	if _, err := os.Stat(spool); !errors.Is(err, os.ErrNotExist) {
@@ -323,7 +334,7 @@ func TestFleetSpoolAndReplay(t *testing.T) {
 }
 
 // ackLostConn forwards every write and then reports failure, so the
-// agent believes nothing was delivered and replays the whole spool on
+// shipper believes nothing was delivered and replays the whole spool on
 // the next connection.
 type ackLostConn struct{ net.Conn }
 
@@ -340,18 +351,19 @@ func (c *ackLostConn) Write(p []byte) (int, error) {
 // (no double-counted sequences), and the loss of the tail batch must
 // surface through the corruption counters rather than vanish silently.
 func TestFleetSpoolTailCorruptionMidReplay(t *testing.T) {
-	spool := filepath.Join(t.TempDir(), "spool.actw")
+	dir := t.TempDir()
+	spool := spoolFile(dir, "collector")
 	var up atomic.Bool
 	var realAddr atomic.Value // string
 	var replayConns int32
 
 	src := &stubSource{}
-	ag, err := NewAgent(src, AgentConfig{
-		Addr:      "collector:0",
-		Name:      "tail",
-		Run:       7,
-		SpoolPath: spool,
-		Retry:     quickRetry(3),
+	rt, err := shard.NewRouter(src, shard.RouterConfig{
+		Shards:   map[string]string{"collector": "collector:0"},
+		Name:     "tail",
+		Run:      7,
+		SpoolDir: dir,
+		Retry:    quickRetry(3),
 		Dial: func(string) (net.Conn, error) {
 			if !up.Load() {
 				return nil, errors.New("injected: collector down")
@@ -369,19 +381,19 @@ func TestFleetSpoolTailCorruptionMidReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag.SetOutcome(wire.OutcomeFailing)
+	rt.SetOutcome(wire.OutcomeFailing)
 
 	// Outage: batch A (the scenario entries) and batch B (one extra
 	// sequence) both land in the spool, B last.
 	src.push(failingEntries(0)...)
-	if err := ag.Flush(); err == nil {
+	if err := rt.Flush(); err == nil {
 		t.Fatal("flush succeeded with collector down")
 	}
 	src.push(entryOf(seqOf(20, 21, 22), -0.9))
-	if err := ag.Flush(); err == nil {
+	if err := rt.Flush(); err == nil {
 		t.Fatal("second flush succeeded with collector down")
 	}
-	if st := ag.Stats(); st.Spooled != 2 {
+	if st := rt.Stats(); st.Spooled != 2 {
 		t.Fatalf("spooled = %d, want 2", st.Spooled)
 	}
 
@@ -396,17 +408,17 @@ func TestFleetSpoolTailCorruptionMidReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c, addr := startCollector(t, CollectorConfig{})
+	c, addr := startCollector(t, fleet.CollectorConfig{})
 	realAddr.Store(addr)
 	up.Store(true)
-	if err := ag.Flush(); err != nil {
+	if err := rt.Flush(); err != nil {
 		t.Fatalf("flush after recovery: %v", err)
 	}
-	if err := ag.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	st := ag.Stats()
+	st := rt.Stats()
 	if st.SpoolBadSpans == 0 || st.SpoolSkippedBytes == 0 {
 		t.Fatalf("tail corruption not surfaced: %+v", st)
 	}
@@ -440,8 +452,8 @@ func TestFleetSpoolTailCorruptionMidReplay(t *testing.T) {
 
 func TestFleetAgentBackpressure(t *testing.T) {
 	src := &stubSource{}
-	ag, err := NewAgent(src, AgentConfig{
-		Addr:            "collector:0",
+	rt, err := shard.NewRouter(src, shard.RouterConfig{
+		Shards:          oneShard("collector:0"),
 		MaxQueue:        4,
 		MaxBatchEntries: 2,
 		Retry:           quickRetry(1),
@@ -453,48 +465,45 @@ func TestFleetAgentBackpressure(t *testing.T) {
 	// One tick, five entries, cap two per batch: three batches formed.
 	src.push(failingEntries(0)...)
 	src.push(entryOf(seqOf(30, 31, 32), -0.1))
-	ag.Tick()
-	if st := ag.Stats(); st.Batches != 3 {
+	rt.Tick()
+	if st := rt.Stats(); st.Batches != 3 {
 		t.Fatalf("batches = %d, want 3", st.Batches)
 	}
 	// Keep draining with the collector down: the queue stays at its
 	// bound and the oldest batches are the ones sacrificed.
 	for i := 0; i < 8; i++ {
 		src.push(entryOf(seqOf(40+uint64(i), 41, 42), -0.2))
-		if err := ag.Flush(); err == nil {
+		if err := rt.Flush(); err == nil {
 			t.Fatal("flush succeeded with collector down and no spool")
 		}
 	}
-	st := ag.Stats()
+	st := rt.Stats()
 	if st.Batches != 11 {
 		t.Fatalf("batches = %d, want 11", st.Batches)
 	}
 	if want := st.Batches - 4; st.DroppedBatches != want {
 		t.Fatalf("dropped = %d, want %d (queue bound 4)", st.DroppedBatches, want)
 	}
-	ag.mu.Lock()
-	qlen := len(ag.queue)
-	ag.mu.Unlock()
-	if qlen != 4 {
+	if qlen := rt.QueueDepth(); qlen != 4 {
 		t.Fatalf("queue length = %d, want 4", qlen)
 	}
 }
 
 func TestFleetAgentPeriodicLoop(t *testing.T) {
-	c, addr := startCollector(t, CollectorConfig{})
+	c, addr := startCollector(t, fleet.CollectorConfig{})
 	src := &stubSource{}
-	ag, err := NewAgent(src, AgentConfig{Addr: addr, Interval: 5 * time.Millisecond, Run: 9})
+	rt, err := shard.NewRouter(src, shard.RouterConfig{Shards: oneShard(addr), Interval: 5 * time.Millisecond, Run: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag.SetOutcome(wire.OutcomeFailing)
+	rt.SetOutcome(wire.OutcomeFailing)
 	src.push(failingEntries(1)...)
-	ag.Start()
+	rt.Start()
 	waitFor(t, "loop shipped a batch", func() bool { return c.Stats().Batches >= 1 })
-	if err := ag.Close(); err != nil {
+	if err := rt.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ag.Stats(); st.Shipped == 0 {
+	if st := rt.Stats(); st.Shipped == 0 {
 		t.Fatalf("nothing shipped: %+v", st)
 	}
 }
@@ -506,7 +515,7 @@ func mkBatch(agent string, run, seq uint64, o wire.Outcome, entries ...core.Debu
 }
 
 func TestFleetCollectorDedup(t *testing.T) {
-	c := NewCollector(CollectorConfig{})
+	c := fleet.NewCollector(fleet.CollectorConfig{})
 	b := mkBatch("a", 1, 0, wire.OutcomeFailing, failingEntries(0)...)
 	c.Ingest(b)
 	c.Ingest(b)
@@ -521,7 +530,7 @@ func TestFleetCollectorDedup(t *testing.T) {
 }
 
 func TestFleetCollectorOutcomeFlip(t *testing.T) {
-	c := NewCollector(CollectorConfig{})
+	c := fleet.NewCollector(fleet.CollectorConfig{})
 	c.Ingest(mkBatch("a", 1, 0, wire.OutcomeUnknown, failingEntries(0)...))
 	if rep := c.Report(); len(rep.Ranked) != 0 {
 		t.Fatalf("outcome-unknown evidence ranked prematurely: %+v", rep.Ranked)
@@ -540,7 +549,7 @@ func TestFleetCollectorOutcomeFlip(t *testing.T) {
 
 func TestFleetCollectorSnapshotRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "actd.snapshot")
-	a := NewCollector(CollectorConfig{SnapshotPath: path})
+	a := fleet.NewCollector(fleet.CollectorConfig{SnapshotPath: path})
 	for i := 0; i < 3; i++ {
 		a.Ingest(mkBatch("f", uint64(101+i), 0, wire.OutcomeFailing, failingEntries(i)...))
 	}
@@ -551,7 +560,7 @@ func TestFleetCollectorSnapshotRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	b := NewCollector(CollectorConfig{SnapshotPath: path})
+	b := fleet.NewCollector(fleet.CollectorConfig{SnapshotPath: path})
 	if got := rankedKeys(b.Report()); !sameKeys(got, want) {
 		t.Fatalf("snapshot round trip changed ranking:\nwant %v\ngot  %v", want, got)
 	}
@@ -570,7 +579,7 @@ func TestFleetCollectorSnapshotRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d := NewCollector(CollectorConfig{SnapshotPath: path})
+	d := fleet.NewCollector(fleet.CollectorConfig{SnapshotPath: path})
 	if rep := d.Report(); len(rep.Ranked) != 0 {
 		t.Fatalf("damaged snapshot loaded: %+v", rep.Ranked)
 	}

@@ -2,84 +2,11 @@ package fleet
 
 import "act/internal/obs"
 
-// Metrics bridges. Agents and collectors already count their activity
-// under their own locks (AgentStats, CollectorStats); these helpers
-// expose those counters on a registry as scrape-time samples, so
-// instrumented daemons pay nothing on the ship/ingest paths beyond the
-// collector's ingest span.
-
-// RegisterAgentMetrics registers the act_agent_* series against a
-// getter instead of a fixed instance — the shape a daemon that rotates
-// one Agent per run needs. get must be safe to call concurrently and
-// may return nil (series then read 0).
-func RegisterAgentMetrics(r *obs.Registry, get func() *Agent) {
-	stats := func() AgentStats {
-		if a := get(); a != nil {
-			return a.Stats()
-		}
-		return AgentStats{}
-	}
-	r.CounterFunc("act_agent_drained_total",
-		"Debug Buffer entries drained from the monitored source.",
-		func() uint64 { return stats().Drained })
-	r.CounterFunc("act_agent_batches_total",
-		"Batches formed from drained entries.",
-		func() uint64 { return stats().Batches })
-	r.CounterFunc("act_agent_shipped_total",
-		"Batches written to the collector.",
-		func() uint64 { return stats().Shipped })
-	r.CounterFunc("act_agent_spooled_total",
-		"Batches written to the on-disk spool.",
-		func() uint64 { return stats().Spooled })
-	r.CounterFunc("act_agent_replayed_total",
-		"Spooled batches re-shipped after reconnect.",
-		func() uint64 { return stats().Replayed })
-	r.CounterFunc("act_agent_dropped_batches_total",
-		"Batches lost to queue backpressure.",
-		func() uint64 { return stats().DroppedBatches })
-	r.CounterFunc("act_agent_spool_drops_total",
-		"Spool resets after exceeding the size cap.",
-		func() uint64 { return stats().SpoolDrops })
-	r.CounterFunc("act_agent_dials_total",
-		"Collector connection (re)establishments.",
-		func() uint64 { return stats().Dials })
-	r.CounterFunc("act_agent_ship_attempts_total",
-		"Ship attempts including retries; attempts minus shipped batches reflects retry pressure.",
-		func() uint64 { return stats().ShipAttempts })
-	r.CounterFunc("act_agent_spool_bad_spans_total",
-		"Corrupt spans skipped while replaying the spool.",
-		func() uint64 { return stats().SpoolBadSpans })
-	r.CounterFunc("act_agent_spool_skipped_bytes_total",
-		"Bytes discarded while resynchronizing a damaged spool.",
-		func() uint64 { return stats().SpoolSkippedBytes })
-	r.GaugeFunc("act_agent_queue_depth",
-		"Batches waiting in the in-memory queue.",
-		func() float64 {
-			if a := get(); a != nil {
-				return float64(a.QueueDepth())
-			}
-			return 0
-		})
-	r.GaugeFunc("act_agent_spool_bytes",
-		"Current size of the on-disk spool file.",
-		func() float64 {
-			if a := get(); a != nil {
-				return float64(a.SpoolBytes())
-			}
-			return 0
-		})
-}
-
-// RegisterMetrics exposes the agent's activity on r as act_agent_*
-// series, sampled at scrape time — the fixed-instance form of
-// RegisterAgentMetrics.
-func (a *Agent) RegisterMetrics(r *obs.Registry) {
-	RegisterAgentMetrics(r, func() *Agent { return a })
-}
-
 // RegisterMetrics exposes the collector's activity on r as
 // act_collector_* series, sampled at scrape time, plus the live ingest
-// span histogram.
+// span histogram. The collector already counts under its own lock
+// (CollectorStats), so instrumented daemons pay nothing on the ingest
+// path beyond the ingest span.
 func (c *Collector) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("act_collector_conns_total",
 		"Agent connections accepted.",

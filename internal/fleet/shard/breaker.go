@@ -45,8 +45,8 @@ type BreakerConfig struct {
 	// MaxDelay caps the exponential backoff; default 30s.
 	MaxDelay time.Duration
 	// Jitter is the fraction of the delay randomized on top (0..1), so
-	// a fleet of routers does not probe a recovering shard in lockstep;
-	// default 0.2.
+	// a fleet of routers does not probe a recovering shard in lockstep.
+	// The zero value adds none; a value outside 0..1 falls back to 0.2.
 	Jitter float64
 
 	// Now and Rand are injectable for deterministic tests and chaos

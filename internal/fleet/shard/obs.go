@@ -43,6 +43,9 @@ func RegisterRouterMetrics(r *obs.Registry, get func() *Router) {
 	r.CounterFunc("act_router_dropped_batches_total",
 		"Batches lost to lane queue backpressure.",
 		func() uint64 { return stats().DroppedBatches })
+	r.CounterFunc("act_router_spool_drops_total",
+		"Spool resets after exceeding the size cap.",
+		func() uint64 { return stats().SpoolDrops })
 	r.CounterFunc("act_router_dials_total",
 		"Shard connection (re)establishments.",
 		func() uint64 { return stats().Dials })

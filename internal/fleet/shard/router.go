@@ -40,6 +40,7 @@ type RouterConfig struct {
 
 	// SpoolDir, when set, holds one spool file per shard
 	// (<dir>/<shard>.spool) for batches no reachable shard would take.
+	// NewRouter creates it, parents included, when it is missing.
 	SpoolDir string
 	// SpoolMaxBytes caps each spool file; default 8 MiB.
 	SpoolMaxBytes int64
@@ -148,10 +149,12 @@ type lane struct {
 	breaker *Breaker // internally locked
 }
 
-// Router is the sharded counterpart of fleet.Agent: it drains the same
-// Source, but partitions entries by consistent hashing of their
-// sequence hash across N collector shards, so each shard aggregates a
-// disjoint slice of the sequence space and the rollup's merge is cheap.
+// Router is the shipping client: it drains a fleet.Source and
+// partitions entries by consistent hashing of their sequence hash
+// across N collector shards, so each shard aggregates a disjoint slice
+// of the sequence space and the rollup's merge is cheap. A one-entry
+// ring is the single-collector client (act.ShipTo, actagent
+// -collector): every entry routes to its one lane.
 //
 // One global (agent, run, seq) counter spans all lanes, so batch dedup
 // keys never collide across shards and any batch may be redelivered to
@@ -178,10 +181,17 @@ type Router struct {
 }
 
 // NewRouter creates a router shipping src's entries across cfg.Shards.
-// Passive until Start or Flush.
+// Passive until Start or Flush. A SpoolDir that cannot be created is
+// an error: a router that could not spool would lose the evidence of
+// every outage.
 func NewRouter(src fleet.Source, cfg RouterConfig) (*Router, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one shard")
+	}
+	if cfg.SpoolDir != "" {
+		if err := os.MkdirAll(cfg.SpoolDir, 0o755); err != nil {
+			return nil, fmt.Errorf("shard: spool directory: %w", err)
+		}
 	}
 	cfg = cfg.withDefaults()
 	names := make([]string, 0, len(cfg.Shards))
@@ -433,16 +443,18 @@ func (r *Router) deliverLocked(i int) error {
 		}
 	}
 	r.stats.Unrouted++
-	if ln.spool != "" {
-		if serr := r.spoolLaneLocked(ln); serr == nil && firstErr != nil {
-			return fmt.Errorf("shard: no shard reachable for lane %s, batches spooled: %w",
-				ln.name, firstErr)
-		}
-	}
 	if firstErr == nil {
 		firstErr = fmt.Errorf("shard: no shard admitted by breakers for lane %s", ln.name)
 	}
-	return firstErr
+	if ln.spool == "" {
+		return firstErr
+	}
+	if serr := r.spoolLaneLocked(ln); serr != nil {
+		return fmt.Errorf("shard: lane %s undeliverable and spool failed (%v): %w",
+			ln.name, serr, firstErr)
+	}
+	return fmt.Errorf("shard: no shard reachable for lane %s, batches spooled: %w",
+		ln.name, firstErr)
 }
 
 // shipLaneViaLocked ships src's spool and queue over tgt's connection

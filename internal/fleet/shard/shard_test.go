@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"act/internal/deps"
 	"act/internal/fleet"
 	"act/internal/loader"
+	"act/internal/obs"
 	"act/internal/ranking"
 	"act/internal/wire"
 )
@@ -132,9 +136,13 @@ func (sf *shardFleet) kill(name string) {
 	sf.collectors[name].Shutdown()
 }
 
-// shipSharded runs the scenario through routers over the given shards.
-func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) {
+// shipSharded runs the scenario through routers over the given shards
+// and returns the batches the routers shipped, summed over every lane:
+// each router splits its run across lanes, so a shipment is more
+// batches than runs.
+func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) uint64 {
 	t.Helper()
+	var shipped uint64
 	ship := func(name string, run uint64, o wire.Outcome, entries []core.DebugEntry) {
 		src := &stubSource{}
 		src.push(entries...)
@@ -156,12 +164,14 @@ func shipSharded(t *testing.T, sf *shardFleet, spoolDir string) {
 		if err := rt.Close(); err != nil {
 			t.Fatalf("router %s close: %v", name, err)
 		}
+		shipped += rt.Stats().Shipped
 	}
 	for i := 0; i < 3; i++ {
 		ship([]string{"f0", "f1", "f2"}[i], uint64(101+i), wire.OutcomeFailing, failingEntries(i))
 	}
 	ship("c0", 201, wire.OutcomeCorrect, correctEntries())
 	ship("c1", 202, wire.OutcomeCorrect, correctEntries())
+	return shipped
 }
 
 // singleCollectorBaseline runs the identical scenario through one
@@ -189,8 +199,9 @@ func reportBytes(t *testing.T, rep *ranking.Report) []byte {
 	return buf.Bytes()
 }
 
-// waitIngested blocks until the fleet's shards have drained their
-// connections: total batches stop growing and match at least min.
+// waitIngested blocks until the fleet's shards have ingested at least
+// min batches between them. Callers pass what their routers shipped,
+// so a return means every shipped batch has been ingested.
 func (sf *shardFleet) waitIngested(t *testing.T, min uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -359,8 +370,7 @@ func TestBreakerBackoffCapAndJitter(t *testing.T) {
 // single-collector baseline.
 func TestShardedMatchesSingleCollector(t *testing.T) {
 	sf := startShards(t, 3)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	// Evidence must actually be sharded, not funneled to one collector.
 	spread := 0
@@ -533,12 +543,77 @@ func TestAllShardsDownSpoolsThenReplays(t *testing.T) {
 	}
 }
 
+// TestMissingSpoolDirSpoolsEveryBatch: a router whose spool directory
+// does not exist yet, nested two levels deep, creates it and spools
+// every batch while its collector is dead, and the flush error says
+// so. A directory that vanishes afterwards is named as a spool failure
+// in the delivery error; one that cannot be created fails NewRouter.
+func TestMissingSpoolDirSpoolsEveryBatch(t *testing.T) {
+	sf := startShards(t, 1)
+	sf.kill(sf.names[0])
+	spoolDir := filepath.Join(t.TempDir(), "a", "b", "spools")
+
+	src := &stubSource{}
+	for i := 0; i < 3; i++ {
+		src.push(failingEntries(i)...)
+	}
+	rt, err := NewRouter(src, RouterConfig{
+		Shards:          sf.addrs,
+		Name:            "f-all",
+		Run:             7,
+		MaxBatchEntries: 5,
+		Retry:           quickRetry(2),
+		SpoolDir:        spoolDir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.SetOutcome(wire.OutcomeFailing)
+	err = rt.Flush()
+	if err == nil || !strings.Contains(err.Error(), "spooled") {
+		t.Fatalf("flush with a dead collector = %v, want a spooled error", err)
+	}
+	st := rt.Stats()
+	if st.Batches < 2 || st.Spooled != st.Batches || st.Shipped != 0 {
+		t.Fatalf("not every batch spooled: %+v", st)
+	}
+	batches, _, err := fleet.ReadSpool(filepath.Join(spoolDir, sf.names[0]+".spool"))
+	if err != nil || uint64(len(batches)) != st.Batches {
+		t.Fatalf("spool holds %d batch(es) (err %v), want %d", len(batches), err, st.Batches)
+	}
+	reg := obs.NewRegistry()
+	rt.RegisterMetrics(reg)
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("\nact_router_spooled_total %d\n", st.Spooled); !strings.Contains(scrape.String(), want) {
+		t.Fatalf("scrape lacks %q:\n%s", want, scrape.String())
+	}
+
+	if err := os.RemoveAll(spoolDir); err != nil {
+		t.Fatal(err)
+	}
+	src.push(entryOf(seqOf(20, 21, 22), -0.9))
+	if err := rt.Flush(); err == nil || !strings.Contains(err.Error(), "spool failed") {
+		t.Fatalf("flush into a vanished spool directory = %v, want a spool failure", err)
+	}
+	rt.Close()
+
+	file := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewRouter(src, RouterConfig{Shards: sf.addrs, SpoolDir: filepath.Join(file, "spools")}); err == nil {
+		t.Fatal("NewRouter accepted a spool directory under a regular file")
+	}
+}
+
 // TestMergeStateOrderAndDuplicationInvariance: merging shard states in
 // any order, or twice over, exports identical collector state.
 func TestMergeStateOrderAndDuplicationInvariance(t *testing.T) {
 	sf := startShards(t, 3)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	var states [][]byte
 	for _, name := range sf.names {
@@ -573,8 +648,7 @@ func TestMergeStateOrderAndDuplicationInvariance(t *testing.T) {
 // too.
 func TestRollupServeIngestsPushedState(t *testing.T) {
 	sf := startShards(t, 2)
-	shipSharded(t, sf, t.TempDir())
-	sf.waitIngested(t, 5)
+	sf.waitIngested(t, shipSharded(t, sf, t.TempDir()))
 
 	ru := NewRollup(RollupConfig{Expected: sf.names})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")

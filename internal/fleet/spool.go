@@ -6,14 +6,22 @@ import (
 	"os"
 	"time"
 
+	"act/internal/core"
 	"act/internal/wire"
 )
 
+// Source is what a shipping client drains: a deployed monitor
+// (act.Monitor via act.ShipTo) or anything else that accumulates Debug
+// Buffer entries. Drain returns the entries logged since the previous
+// drain — clearing them — plus a snapshot of the cumulative counters.
+type Source interface {
+	Drain() ([]core.DebugEntry, core.Stats)
+}
+
 // Spool files hold undeliverable batches in wire format: a full stream
 // (prologue + frames) appended to across outages, replayed and removed
-// once a collector takes the evidence. These helpers are shared by the
-// single-collector Agent and the sharded Router — one on-disk format,
-// one damage model (a crash mid-append costs only the torn frame).
+// once a collector takes the evidence. One on-disk format, one damage
+// model: a crash mid-append costs only the torn frame.
 
 // SpoolSize returns the size of the spool file at path, 0 when the
 // path is empty or the file is absent.

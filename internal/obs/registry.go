@@ -138,7 +138,7 @@ func (r *Registry) AddHistogram(name, help string, h *Histogram) {
 
 // CounterFunc registers a counter whose value is sampled from fn at
 // scrape time — the zero-hot-path-cost bridge to counters a component
-// already keeps (core.Stats, fleet.AgentStats). fn must be safe to
+// already keeps (core.Stats, shard.RouterStats). fn must be safe to
 // call concurrently. Re-registering a name rebinds it to the new fn.
 func (r *Registry) CounterFunc(name, help string, fn func() uint64) {
 	r.register(&metric{name: name, help: help, kind: kindCounterFunc, cfn: fn})
