@@ -25,11 +25,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 
 	"act/internal/deps"
+	"act/internal/frame"
 	"act/internal/pipeline"
 	"act/internal/trace"
 )
@@ -235,106 +235,18 @@ func b2u64(b bool) uint64 {
 
 // --- binary codec ---------------------------------------------------
 
-// ckptAppender accumulates little-endian primitives.
-type ckptAppender struct{ b []byte }
-
-func (a *ckptAppender) u8(v byte)  { a.b = append(a.b, v) }
-func (a *ckptAppender) u16(v uint16) {
-	var t [2]byte
-	binary.LittleEndian.PutUint16(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) u32(v uint32) {
-	var t [4]byte
-	binary.LittleEndian.PutUint32(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) u64(v uint64) {
-	var t [8]byte
-	binary.LittleEndian.PutUint64(t[:], v)
-	a.b = append(a.b, t[:]...)
-}
-func (a *ckptAppender) f64(v float64) { a.u64(math.Float64bits(v)) }
-func (a *ckptAppender) dep(d deps.Dep) {
-	a.u64(d.S)
-	a.u64(d.L)
-	var f byte
-	if d.Inter {
-		f = 1
-	}
-	a.u8(f)
+func appendDep(a *frame.Enc, d deps.Dep) {
+	a.U64(d.S)
+	a.U64(d.L)
+	a.Bool(d.Inter)
 }
 
-// ckptReader consumes little-endian primitives with sticky error state:
-// after the first failure every read returns zero and the error
-// surfaces once at the end. Bounds are checked on every read, so
-// arbitrary (fuzzed) input can never index out of range.
-type ckptReader struct {
-	b   []byte
-	off int
-	err error
+func readDep(r *frame.Dec) deps.Dep {
+	s, l := r.U64(), r.U64()
+	return deps.Dep{S: s, L: l, Inter: r.U8()&1 != 0}
 }
 
-func (r *ckptReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf("core: checkpoint: "+format, args...)
-	}
-}
-
-func (r *ckptReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || len(r.b)-r.off < n {
-		r.fail("truncated at byte %d (want %d more)", r.off, n)
-		return nil
-	}
-	out := r.b[r.off : r.off+n]
-	r.off += n
-	return out
-}
-
-func (r *ckptReader) u8() byte {
-	if b := r.take(1); b != nil {
-		return b[0]
-	}
-	return 0
-}
-func (r *ckptReader) u16() uint16 {
-	if b := r.take(2); b != nil {
-		return binary.LittleEndian.Uint16(b)
-	}
-	return 0
-}
-func (r *ckptReader) u32() uint32 {
-	if b := r.take(4); b != nil {
-		return binary.LittleEndian.Uint32(b)
-	}
-	return 0
-}
-func (r *ckptReader) u64() uint64 {
-	if b := r.take(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-func (r *ckptReader) f64() float64 { return math.Float64frombits(r.u64()) }
-func (r *ckptReader) dep() deps.Dep {
-	s, l := r.u64(), r.u64()
-	return deps.Dep{S: s, L: l, Inter: r.u8()&1 != 0}
-}
-
-// count reads a u32 element count and bounds it: each element occupies
-// at least minSize encoded bytes, so a declared count the remaining
-// input cannot hold is corruption, caught before any allocation.
-func (r *ckptReader) count(minSize int) int {
-	n := int(r.u32())
-	if r.err == nil && n*minSize > len(r.b)-r.off {
-		r.fail("count %d exceeds remaining %d bytes", n, len(r.b)-r.off)
-		return 0
-	}
-	return n
-}
+func newCkptDec(data []byte) *frame.Dec { return frame.NewDec(data, "core: checkpoint") }
 
 // CheckpointHeader is the decoded header section: the identity of the
 // run a checkpoint belongs to and the record cursor it was taken at.
@@ -359,76 +271,70 @@ func (t *Tracker) header(tr *trace.Trace, cursor int) CheckpointHeader {
 }
 
 func encodeHeader(h CheckpointHeader) []byte {
-	var a ckptAppender
-	a.u16(ckptCodecVersion)
-	a.u64(h.Cursor)
-	a.u64(h.Records)
-	a.u64(h.TraceID)
-	a.u64(uint64(h.Seed))
-	a.u64(h.CfgFP)
-	a.u16(uint16(len(h.Program)))
-	a.b = append(a.b, h.Program...)
-	return a.b
+	var a frame.Enc
+	a.U16(ckptCodecVersion)
+	a.U64(h.Cursor)
+	a.U64(h.Records)
+	a.U64(h.TraceID)
+	a.U64(uint64(h.Seed))
+	a.U64(h.CfgFP)
+	a.U16(uint16(len(h.Program)))
+	a.B = append(a.B, h.Program...)
+	return a.B
 }
 
 func decodeHeader(data []byte) (CheckpointHeader, error) {
-	r := ckptReader{b: data}
+	r := newCkptDec(data)
 	var h CheckpointHeader
-	if v := r.u16(); r.err == nil && v != ckptCodecVersion {
+	if v := r.U16(); r.Err() == nil && v != ckptCodecVersion {
 		return h, fmt.Errorf("core: checkpoint codec version %d, want %d", v, ckptCodecVersion)
 	}
-	h.Cursor = r.u64()
-	h.Records = r.u64()
-	h.TraceID = r.u64()
-	h.Seed = int64(r.u64())
-	h.CfgFP = r.u64()
-	h.Program = string(r.take(int(r.u16())))
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing header bytes", len(data)-r.off)
-	}
-	return h, r.err
+	h.Cursor = r.U64()
+	h.Records = r.U64()
+	h.TraceID = r.U64()
+	h.Seed = int64(r.U64())
+	h.CfgFP = r.U64()
+	h.Program = string(r.Take(int(r.U16())))
+	return h, r.End()
 }
 
 func encodeExtractor(st deps.ExtractorState) []byte {
-	var a ckptAppender
-	a.u64(st.Granularity)
-	a.u32(uint32(len(st.Windows)))
+	var a frame.Enc
+	a.U64(st.Granularity)
+	a.U32(uint32(len(st.Windows)))
 	for _, w := range st.Windows {
-		a.u16(w.Tid)
-		a.u8(byte(len(w.Window)))
+		a.U16(w.Tid)
+		a.U8(byte(len(w.Window)))
 		for _, d := range w.Window {
-			a.dep(d)
+			appendDep(&a, d)
 		}
 	}
-	a.u32(uint32(len(st.Writers)))
+	a.U32(uint32(len(st.Writers)))
 	for _, w := range st.Writers {
-		a.u64(w.Granule)
-		a.u64(w.StorePC)
-		a.u16(w.Tid)
+		a.U64(w.Granule)
+		a.U64(w.StorePC)
+		a.U16(w.Tid)
 	}
-	return a.b
+	return a.B
 }
 
 func decodeExtractor(data []byte) (deps.ExtractorState, error) {
-	r := ckptReader{b: data}
-	st := deps.ExtractorState{Granularity: r.u64()}
-	nw := r.count(3) // tid + len, then per-dep bytes
-	for i := 0; i < nw && r.err == nil; i++ {
-		w := deps.WindowState{Tid: r.u16()}
-		nd := int(r.u8())
-		for j := 0; j < nd && r.err == nil; j++ {
-			w.Window = append(w.Window, r.dep())
+	r := newCkptDec(data)
+	st := deps.ExtractorState{Granularity: r.U64()}
+	nw := r.Count(3) // tid + len, then per-dep bytes
+	for i := 0; i < nw && r.Err() == nil; i++ {
+		w := deps.WindowState{Tid: r.U16()}
+		nd := int(r.U8())
+		for j := 0; j < nd && r.Err() == nil; j++ {
+			w.Window = append(w.Window, readDep(r))
 		}
 		st.Windows = append(st.Windows, w)
 	}
-	nl := r.count(18)
-	for i := 0; i < nl && r.err == nil; i++ {
-		st.Writers = append(st.Writers, deps.LastWriter{Granule: r.u64(), StorePC: r.u64(), Tid: r.u16()})
+	nl := r.Count(18)
+	for i := 0; i < nl && r.Err() == nil; i++ {
+		st.Writers = append(st.Writers, deps.LastWriter{Granule: r.U64(), StorePC: r.U64(), Tid: r.U16()})
 	}
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing extractor bytes", len(data)-r.off)
-	}
-	return st, r.err
+	return st, r.End()
 }
 
 // encodeModule serializes one module state. Debug entries carry the
@@ -436,126 +342,123 @@ func decodeExtractor(data []byte) (deps.ExtractorState, error) {
 // deliberately drops — because a resumed run's reports must match the
 // uninterrupted run byte-for-byte.
 func encodeModule(st *ModuleState) []byte {
-	var a ckptAppender
-	a.u32(uint32(st.Tid))
-	a.u8(byte(st.Mode))
-	a.u64(st.Gen)
-	a.f64(st.LastRate)
-	a.u64(uint64(int64(st.Invalid)))
-	a.u64(uint64(int64(st.Window)))
-	a.u64(uint64(int64(st.SatWind)))
-	a.u64(uint64(int64(st.BadWind)))
+	var a frame.Enc
+	a.U32(uint32(st.Tid))
+	a.U8(byte(st.Mode))
+	a.U64(st.Gen)
+	a.F64(st.LastRate)
+	a.U64(uint64(int64(st.Invalid)))
+	a.U64(uint64(int64(st.Window)))
+	a.U64(uint64(int64(st.SatWind)))
+	a.U64(uint64(int64(st.BadWind)))
 	for _, v := range [...]uint64{st.Stats.Deps, st.Stats.Sequences,
 		st.Stats.PredictedInvalid, st.Stats.Updates, st.Stats.ModeSwitches,
 		st.Stats.TrainingDeps, st.Stats.Snapshots, st.Stats.Recoveries,
 		st.Stats.CacheHits, st.Stats.CacheMisses} {
-		a.u64(v)
+		a.U64(v)
 	}
-	a.u32(uint32(len(st.Weights)))
+	a.U32(uint32(len(st.Weights)))
 	for _, v := range st.Weights {
-		a.f64(v)
+		a.F64(v)
 	}
 	if st.Snap == nil {
-		a.u8(0)
+		a.U8(0)
 	} else {
-		a.u8(1)
-		a.u32(uint32(len(st.Snap)))
+		a.U8(1)
+		a.U32(uint32(len(st.Snap)))
 		for _, v := range st.Snap {
-			a.f64(v)
+			a.F64(v)
 		}
 	}
-	a.u32(uint32(len(st.IGB)))
+	a.U32(uint32(len(st.IGB)))
 	for _, d := range st.IGB {
-		a.dep(d)
+		appendDep(&a, d)
 	}
-	a.u8(byte(len(st.Traj)))
+	a.U8(byte(len(st.Traj)))
 	for _, v := range st.Traj {
-		a.f64(v)
+		a.F64(v)
 	}
-	a.u32(uint32(len(st.Debug)))
+	a.U32(uint32(len(st.Debug)))
 	for _, e := range st.Debug {
-		a.u16(e.Proc)
-		a.u64(e.At)
-		a.f64(e.Output)
-		a.u8(byte(e.Mode))
-		a.u8(byte(len(e.Seq)))
+		a.U16(e.Proc)
+		a.U64(e.At)
+		a.F64(e.Output)
+		a.U8(byte(e.Mode))
+		a.U8(byte(len(e.Seq)))
 		for _, d := range e.Seq {
-			a.dep(d)
+			appendDep(&a, d)
 		}
-		a.u8(byte(len(e.Traj)))
+		a.U8(byte(len(e.Traj)))
 		for _, v := range e.Traj {
-			a.f64(v)
+			a.F64(v)
 		}
 	}
-	return a.b
+	return a.B
 }
 
 func decodeModule(data []byte) (ModuleState, error) {
-	r := ckptReader{b: data}
+	r := newCkptDec(data)
 	var st ModuleState
-	st.Tid = int(r.u32())
-	st.Mode = Mode(r.u8())
-	st.Gen = r.u64()
-	st.LastRate = r.f64()
-	st.Invalid = int(int64(r.u64()))
-	st.Window = int(int64(r.u64()))
-	st.SatWind = int(int64(r.u64()))
-	st.BadWind = int(int64(r.u64()))
+	st.Tid = int(r.U32())
+	st.Mode = Mode(r.U8())
+	st.Gen = r.U64()
+	st.LastRate = r.F64()
+	st.Invalid = int(int64(r.U64()))
+	st.Window = int(int64(r.U64()))
+	st.SatWind = int(int64(r.U64()))
+	st.BadWind = int(int64(r.U64()))
 	var sv [10]uint64
 	for i := range sv {
-		sv[i] = r.u64()
+		sv[i] = r.U64()
 	}
 	st.Stats = Stats{Deps: sv[0], Sequences: sv[1], PredictedInvalid: sv[2],
 		Updates: sv[3], ModeSwitches: sv[4], TrainingDeps: sv[5],
 		Snapshots: sv[6], Recoveries: sv[7], CacheHits: sv[8], CacheMisses: sv[9]}
-	nw := r.count(8)
-	for i := 0; i < nw && r.err == nil; i++ {
-		st.Weights = append(st.Weights, r.f64())
+	nw := r.Count(8)
+	for i := 0; i < nw && r.Err() == nil; i++ {
+		st.Weights = append(st.Weights, r.F64())
 	}
-	if r.u8() != 0 {
-		ns := r.count(8)
+	if r.U8() != 0 {
+		ns := r.Count(8)
 		st.Snap = make([]float64, 0, ns)
-		for i := 0; i < ns && r.err == nil; i++ {
-			st.Snap = append(st.Snap, r.f64())
+		for i := 0; i < ns && r.Err() == nil; i++ {
+			st.Snap = append(st.Snap, r.F64())
 		}
 	}
-	ni := r.count(17)
-	for i := 0; i < ni && r.err == nil; i++ {
-		st.IGB = append(st.IGB, r.dep())
+	ni := r.Count(17)
+	for i := 0; i < ni && r.Err() == nil; i++ {
+		st.IGB = append(st.IGB, readDep(r))
 	}
-	nt := int(r.u8())
+	nt := int(r.U8())
 	if nt > TrajDepth {
-		r.fail("trajectory of %d samples exceeds depth %d", nt, TrajDepth)
+		r.Fail("trajectory of %d samples exceeds depth %d", nt, TrajDepth)
 		nt = 0
 	}
-	for i := 0; i < nt && r.err == nil; i++ {
-		st.Traj = append(st.Traj, r.f64())
+	for i := 0; i < nt && r.Err() == nil; i++ {
+		st.Traj = append(st.Traj, r.F64())
 	}
-	nd := r.count(1)
-	for i := 0; i < nd && r.err == nil; i++ {
+	nd := r.Count(1)
+	for i := 0; i < nd && r.Err() == nil; i++ {
 		var e DebugEntry
-		e.Proc = r.u16()
-		e.At = r.u64()
-		e.Output = r.f64()
-		e.Mode = Mode(r.u8())
-		ns := int(r.u8())
-		for j := 0; j < ns && r.err == nil; j++ {
-			e.Seq = append(e.Seq, r.dep())
+		e.Proc = r.U16()
+		e.At = r.U64()
+		e.Output = r.F64()
+		e.Mode = Mode(r.U8())
+		ns := int(r.U8())
+		for j := 0; j < ns && r.Err() == nil; j++ {
+			e.Seq = append(e.Seq, readDep(r))
 		}
-		et := int(r.u8())
+		et := int(r.U8())
 		if et > TrajDepth {
-			r.fail("debug entry %d trajectory of %d samples", i, et)
+			r.Fail("debug entry %d trajectory of %d samples", i, et)
 			break
 		}
-		for j := 0; j < et && r.err == nil; j++ {
-			e.Traj = append(e.Traj, r.f64())
+		for j := 0; j < et && r.Err() == nil; j++ {
+			e.Traj = append(e.Traj, r.F64())
 		}
 		st.Debug = append(st.Debug, e)
 	}
-	if r.err == nil && r.off != len(data) {
-		r.fail("%d trailing module bytes", len(data)-r.off)
-	}
-	return st, r.err
+	return st, r.End()
 }
 
 // EncodeCheckpoint serializes the tracker's complete state as an ACTK

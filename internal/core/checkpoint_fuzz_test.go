@@ -1,14 +1,15 @@
 // FuzzLoadCheckpoint: checkpoint loading must never panic on arbitrary
 // bytes — a torn or hostile checkpoint file is an expected production
-// input — and every image it does accept must round-trip: decode,
-// re-encode from the decoded state, decode again, identical state.
+// input — and every image it does accept must round-trip under the
+// shared codec property (frametest.Check): decode, re-encode from the
+// decoded state, decode again, identical state.
 package core
 
 import (
-	"bytes"
 	"testing"
 
 	"act/internal/deps"
+	"act/internal/frame/frametest"
 	"act/internal/pipeline"
 )
 
@@ -39,35 +40,25 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add(fuzzImage(f, 100))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		hdr, st, extra, err := DecodeCheckpoint(data) // must not panic
-		if err != nil {
-			return
-		}
-		// Accepted images round-trip: rebuild the section list from the
-		// decoded state and compare the re-parsed result structurally.
-		sections := []pipeline.Section{
-			{Kind: ckptKindHeader, Data: encodeHeader(hdr)},
-			{Kind: ckptKindExtractor, Data: encodeExtractor(st.Extractor)},
-		}
-		for i := range st.Modules {
-			sections = append(sections, pipeline.Section{Kind: ckptKindModule, Data: encodeModule(&st.Modules[i])})
-		}
-		sections = append(sections, extra...)
-		img := pipeline.AppendCheckpoint(nil, sections)
-		hdr2, st2, extra2, err := DecodeCheckpoint(img)
-		if err != nil {
-			t.Fatalf("re-encoded accepted image rejected: %v", err)
-		}
-		if hdr2 != hdr {
-			t.Fatalf("header changed across round-trip: %+v vs %+v", hdr, hdr2)
-		}
-		if len(st2.Modules) != len(st.Modules) || len(extra2) != len(extra) {
-			t.Fatalf("section census changed across round-trip")
-		}
-		for i := range extra {
-			if extra[i].Kind != extra2[i].Kind || !bytes.Equal(extra[i].Data, extra2[i].Data) {
-				t.Fatalf("extra section %d changed across round-trip", i)
-			}
-		}
+		frametest.Check(t, data, canonicalCheckpoint, func(img []byte) ([]byte, error) { return img, nil })
 	})
+}
+
+// canonicalCheckpoint decodes an image and re-encodes the decoded state
+// section by section: the canonical bytes of what the decoder accepted.
+// Comparing canonical bytes rather than decoded states keeps NaN
+// weights (a fault campaign's normal input) comparable.
+func canonicalCheckpoint(data []byte) ([]byte, error) {
+	hdr, st, extra, err := DecodeCheckpoint(data)
+	if err != nil {
+		return nil, err
+	}
+	sections := []pipeline.Section{
+		{Kind: ckptKindHeader, Data: encodeHeader(hdr)},
+		{Kind: ckptKindExtractor, Data: encodeExtractor(st.Extractor)},
+	}
+	for i := range st.Modules {
+		sections = append(sections, pipeline.Section{Kind: ckptKindModule, Data: encodeModule(&st.Modules[i])})
+	}
+	return pipeline.AppendCheckpoint(nil, append(sections, extra...)), nil
 }

@@ -24,18 +24,18 @@
 package fleet
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame"
 	"act/internal/obs"
 	"act/internal/ranking"
 	"act/internal/wire"
@@ -447,7 +447,7 @@ func (r *deadlineReader) Read(p []byte) (int, error) {
 	return r.conn.Read(p)
 }
 
-// Collector state persistence and merge:
+// Collector state persistence and merge, sealed by frame.Seal:
 //
 //	magic "ACTS" | u16 version=2 | u16 reserved
 //	u32 batch-key count | u64 keys
@@ -478,7 +478,8 @@ const (
 )
 
 // Snapshot atomically persists the aggregate state to path (or the
-// configured SnapshotPath when path is empty).
+// configured SnapshotPath when path is empty) with frame.WriteFile, so
+// concurrent snapshots of one path never share a temp file.
 func (c *Collector) Snapshot(path string) error {
 	if path == "" {
 		path = c.cfg.SnapshotPath
@@ -486,11 +487,7 @@ func (c *Collector) Snapshot(path string) error {
 	if path == "" {
 		return fmt.Errorf("fleet: no snapshot path configured")
 	}
-	tmpPath := path + ".tmp"
-	if err := os.WriteFile(tmpPath, c.ExportState(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmpPath, path)
+	return frame.WriteFile(path, c.ExportState())
 }
 
 // ExportState serializes the collector's aggregate state — the
@@ -499,102 +496,62 @@ func (c *Collector) ExportState() []byte {
 	c.mu.Lock()
 	body := c.encodeStateLocked()
 	c.mu.Unlock()
+	return frame.Seal(snapMagic, snapVersion, body)
+}
 
-	out := append([]byte(snapMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(out[4:], snapVersion)
-	out = append(out, body...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.ChecksumIEEE(body))
-	return append(out, tmp[:]...)
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	out := make([]uint64, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// putU64s appends a u32 count and the values.
+func putU64s(e *frame.Enc, vs []uint64) {
+	e.U32(uint32(len(vs)))
+	for _, v := range vs {
+		e.U64(v)
+	}
 }
 
 // encodeStateLocked serializes the aggregate for the snapshot file.
 //
 //act:locked mu
 func (c *Collector) encodeStateLocked() []byte {
-	var body []byte
-	var tmp [8]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:4], v)
-		body = append(body, tmp[:4]...)
-	}
-	u64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		body = append(body, tmp[:]...)
-	}
-	sortedU64 := func(m map[uint64]struct{}) []uint64 {
-		out := make([]uint64, 0, len(m))
-		for k := range m {
-			out = append(out, k)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
+	var e frame.Enc
+	putU64s(&e, sortedKeys(c.seen))
 
-	keys := make([]uint64, 0, len(c.seen))
-	for k := range c.seen {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	u32(uint32(len(keys)))
-	for _, k := range keys {
-		u64(k)
-	}
-
-	runs := make([]uint64, 0, len(c.outcomes))
-	for r := range c.outcomes {
-		runs = append(runs, r)
-	}
-	sort.Slice(runs, func(i, j int) bool { return runs[i] < runs[j] })
-	u32(uint32(len(runs)))
+	runs := sortedKeys(c.outcomes)
+	e.U32(uint32(len(runs)))
 	for _, r := range runs {
-		u64(r)
-		body = append(body, byte(c.outcomes[r]))
+		e.U64(r)
+		e.U8(byte(c.outcomes[r]))
 	}
 
-	aggKeys := make([]uint64, 0, len(c.agg))
-	for k := range c.agg {
-		aggKeys = append(aggKeys, k)
-	}
-	sort.Slice(aggKeys, func(i, j int) bool { return aggKeys[i] < aggKeys[j] })
-	u32(uint32(len(aggKeys)))
+	aggKeys := sortedKeys(c.agg)
+	e.U32(uint32(len(aggKeys)))
 	for _, k := range aggKeys {
 		agg := c.agg[k]
-		body = wire.AppendEntry(body, agg.entry)
-		fr := sortedU64(agg.failRuns)
-		u32(uint32(len(fr)))
-		for _, r := range fr {
-			u64(r)
-		}
-		cr := sortedU64(agg.correctRuns)
-		u32(uint32(len(cr)))
-		for _, r := range cr {
-			u64(r)
-		}
+		e.B = wire.AppendEntry(e.B, agg.entry)
+		putU64s(&e, sortedKeys(agg.failRuns))
+		putU64s(&e, sortedKeys(agg.correctRuns))
 	}
 
-	pendRuns := make([]uint64, 0, len(c.pending))
-	for r := range c.pending {
-		pendRuns = append(pendRuns, r)
-	}
-	sort.Slice(pendRuns, func(i, j int) bool { return pendRuns[i] < pendRuns[j] })
-	u32(uint32(len(pendRuns)))
+	pendRuns := sortedKeys(c.pending)
+	e.U32(uint32(len(pendRuns)))
 	for _, r := range pendRuns {
-		u64(r)
+		e.U64(r)
 		// The in-memory pending list keeps one element per logged entry;
 		// re-filing is a set insert, so duplicates collapse to a sorted
 		// set here — deterministic bytes, same refile result.
-		set := make(map[uint64]struct{}, len(c.pending[r]))
-		for _, h := range c.pending[r] {
-			set[h] = struct{}{}
-		}
-		hs := sortedU64(set)
-		u32(uint32(len(hs)))
-		for _, h := range hs {
-			u64(h)
-		}
+		hs := slices.Clone(c.pending[r])
+		slices.Sort(hs)
+		putU64s(&e, slices.Compact(hs))
 	}
-	return body
+	return e.B
 }
 
 // collectorState is a decoded state blob, detached from any Collector.
@@ -605,121 +562,71 @@ type collectorState struct {
 	pending  map[uint64][]uint64
 }
 
+// readU64s reads what putU64s wrote.
+func readU64s(d *frame.Dec) []uint64 {
+	n := d.Count(8)
+	vs := make([]uint64, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		vs = append(vs, d.U64())
+	}
+	return vs
+}
+
+// runSet collects run keys; an empty set stays nil (fileRunLocked
+// creates sets on first use).
+func runSet(runs []uint64) map[uint64]struct{} {
+	if len(runs) == 0 {
+		return nil
+	}
+	set := make(map[uint64]struct{}, len(runs))
+	for _, r := range runs {
+		set[r] = struct{}{}
+	}
+	return set
+}
+
 // decodeState parses bytes produced by ExportState (either version).
 // Any damage — short blob, bad magic, checksum mismatch, truncated
-// body — returns false.
+// body, an outcome byte no run can carry — returns false.
 func decodeState(data []byte) (*collectorState, bool) {
-	if len(data) < 8+4 || string(data[:4]) != snapMagic {
+	version, body, err := frame.Open(data, snapMagic)
+	if err != nil || version < 1 || version > snapVersion {
 		return nil, false
 	}
-	version := binary.LittleEndian.Uint16(data[4:])
-	if version < 1 || version > snapVersion {
-		return nil, false
-	}
-	body, sum := data[8:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, false
-	}
-	off := 0
-	need := func(n int) bool { return len(body)-off >= n }
-	u32 := func() uint32 { v := binary.LittleEndian.Uint32(body[off:]); off += 4; return v }
-	u64 := func() uint64 { v := binary.LittleEndian.Uint64(body[off:]); off += 8; return v }
-
-	if !need(4) {
-		return nil, false
-	}
-	nSeen := int(u32())
-	if !need(nSeen * 8) {
-		return nil, false
-	}
+	d := frame.NewDec(body, "fleet: state")
 	st := &collectorState{
-		seen:     make(map[uint64]struct{}, nSeen),
+		seen:     make(map[uint64]struct{}),
 		outcomes: make(map[uint64]wire.Outcome),
 		agg:      make(map[uint64]*seqAgg),
 		pending:  make(map[uint64][]uint64),
 	}
-	for i := 0; i < nSeen; i++ {
-		st.seen[u64()] = struct{}{}
+	for _, k := range readU64s(d) {
+		st.seen[k] = struct{}{}
 	}
-
-	if !need(4) {
-		return nil, false
+	nRuns := d.Count(9)
+	for i := 0; i < nRuns && d.Err() == nil; i++ {
+		r, o := d.U64(), wire.Outcome(d.U8())
+		if o > wire.OutcomeFailing {
+			d.Fail("run outcome %d", o)
+		}
+		st.outcomes[r] = o
 	}
-	nRuns := int(u32())
-	if !need(nRuns * 9) {
-		return nil, false
+	nAgg := d.Count(wire.EntryMinSize + 8)
+	for i := 0; i < nAgg && d.Err() == nil; i++ {
+		a := &seqAgg{}
+		wire.ReadEntry(d, &a.entry)
+		a.failRuns = runSet(readU64s(d))
+		a.correctRuns = runSet(readU64s(d))
+		st.agg[a.entry.Seq.Hash()] = a
 	}
-	for i := 0; i < nRuns; i++ {
-		r := u64()
-		st.outcomes[r] = wire.Outcome(body[off])
-		off++
-	}
-
-	if !need(4) {
-		return nil, false
-	}
-	nAgg := int(u32())
-	for i := 0; i < nAgg; i++ {
-		e, n, err := wire.DecodeEntry(body[off:])
-		if err != nil {
-			return nil, false
-		}
-		off += n
-		a := &seqAgg{entry: e}
-		if !need(4) {
-			return nil, false
-		}
-		nf := int(u32())
-		if !need(nf * 8) {
-			return nil, false
-		}
-		for j := 0; j < nf; j++ {
-			if a.failRuns == nil {
-				a.failRuns = make(map[uint64]struct{}, nf)
-			}
-			a.failRuns[u64()] = struct{}{}
-		}
-		if !need(4) {
-			return nil, false
-		}
-		nc := int(u32())
-		if !need(nc * 8) {
-			return nil, false
-		}
-		for j := 0; j < nc; j++ {
-			if a.correctRuns == nil {
-				a.correctRuns = make(map[uint64]struct{}, nc)
-			}
-			a.correctRuns[u64()] = struct{}{}
-		}
-		st.agg[e.Seq.Hash()] = a
-	}
-
 	if version >= 2 {
-		if !need(4) {
-			return nil, false
-		}
-		nPend := int(u32())
-		for i := 0; i < nPend; i++ {
-			if !need(8 + 4) {
-				return nil, false
-			}
-			r := u64()
-			nh := int(u32())
-			if !need(nh * 8) {
-				return nil, false
-			}
-			hs := make([]uint64, 0, nh)
-			for j := 0; j < nh; j++ {
-				hs = append(hs, u64())
-			}
-			st.pending[r] = hs
+		nPend := d.Count(12)
+		for i := 0; i < nPend && d.Err() == nil; i++ {
+			r := d.U64()
+			st.pending[r] = readU64s(d)
 		}
 	}
-	if off != len(body) {
-		return nil, false
-	}
-	return st, true
+	return st, d.End() == nil
 }
 
 // loadSnapshot restores state saved by Snapshot. Any damage abandons

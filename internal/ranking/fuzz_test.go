@@ -2,11 +2,11 @@ package ranking
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame/frametest"
 )
 
 // fuzzSeedReports builds representative reports whose Save output seeds
@@ -32,10 +32,11 @@ func fuzzSeedReports() []*Report {
 	}
 }
 
-// FuzzLoad throws arbitrary bytes at LoadReport. The invariants: it must
-// never panic, and any input it accepts must round-trip — saving the
-// loaded report and loading it again yields the same report. Corrupted
-// or truncated inputs must come back as errors, not as garbage reports.
+// FuzzLoad throws arbitrary bytes at LoadReport under the shared codec
+// property (frametest.Check): it must never panic, and any input it
+// accepts must round-trip — saving the loaded report and loading it
+// again yields the same report. Corrupted or truncated inputs must come
+// back as errors, not as garbage reports.
 func FuzzLoad(f *testing.F) {
 	for _, r := range fuzzSeedReports() {
 		var buf bytes.Buffer
@@ -56,20 +57,12 @@ func FuzzLoad(f *testing.F) {
 	f.Add([]byte("ACTR"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := LoadReport(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := r.Save(&buf); err != nil {
-			t.Fatalf("re-saving accepted report: %v", err)
-		}
-		r2, err := LoadReport(&buf)
-		if err != nil {
-			t.Fatalf("re-loading re-saved report: %v", err)
-		}
-		if !reflect.DeepEqual(r, r2) {
-			t.Fatalf("round-trip mismatch:\nfirst:  %+v\nsecond: %+v", r, r2)
-		}
+		frametest.Check(t, data, func(b []byte) (*Report, error) {
+			return LoadReport(bytes.NewReader(b))
+		}, func(r *Report) ([]byte, error) {
+			var buf bytes.Buffer
+			err := r.Save(&buf)
+			return buf.Bytes(), err
+		})
 	})
 }

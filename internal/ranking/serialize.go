@@ -1,20 +1,19 @@
 package ranking
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
+	"act/internal/frame"
 	"act/internal/wire"
 )
 
 // Report persistence. A diagnosis report used to be print-only; fleet
 // operation needs it as an artifact — saved by actdiag or actd, loaded
 // later to re-rank under a different strategy or to merge with newer
-// evidence. The format reuses the wire package's entry codec under a
-// whole-body CRC:
+// evidence. The format reuses the wire package's entry codec inside a
+// frame.Seal:
 //
 //	magic "ACTR" | u16 version=1 | u16 reserved
 //	u32 total | u32 pruned | u32 candidate count
@@ -36,56 +35,38 @@ var (
 // AppendReport serializes the report body — counts and candidates, no
 // magic, version, or checksum — to dst and returns the extended slice.
 // This is the embeddable form: the RCA verdict format (internal/rca)
-// wraps it inside its own framed file, and Save wraps it in the
+// wraps it inside its own framed file, and Save seals it with the
 // stand-alone report prologue. Entries' output trajectories
 // (DebugEntry.Traj) are provenance, not identity, and are not encoded.
 func (r *Report) AppendReport(dst []byte) []byte {
-	var tmp [4]byte
-	u32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(tmp[:], v)
-		dst = append(dst, tmp[:]...)
-	}
-	u32(uint32(r.Total))
-	u32(uint32(r.Pruned))
-	u32(uint32(len(r.Ranked)))
+	e := frame.Enc{B: dst}
+	e.U32(uint32(r.Total))
+	e.U32(uint32(r.Pruned))
+	e.U32(uint32(len(r.Ranked)))
 	for _, c := range r.Ranked {
-		u32(uint32(c.Matches))
-		u32(uint32(c.Runs))
-		dst = wire.AppendEntry(dst, c.Entry)
+		e.U32(uint32(c.Matches))
+		e.U32(uint32(c.Runs))
+		e.B = wire.AppendEntry(e.B, c.Entry)
 	}
-	return dst
+	return e.B
 }
 
 // DecodeReport parses a report body produced by AppendReport, returning
 // the report and the bytes consumed. Trailing bytes are the caller's:
 // an embedding format may continue after the report section.
 func DecodeReport(body []byte) (*Report, int, error) {
-	if len(body) < 12 {
-		return nil, 0, fmt.Errorf("ranking: report body truncated at %d bytes", len(body))
-	}
-	r := &Report{
-		Total:  int(binary.LittleEndian.Uint32(body[0:])),
-		Pruned: int(binary.LittleEndian.Uint32(body[4:])),
-	}
-	count := int(binary.LittleEndian.Uint32(body[8:]))
-	off := 12
-	for i := 0; i < count; i++ {
-		if len(body) < off+8 {
-			return nil, 0, fmt.Errorf("ranking: candidate %d truncated", i)
-		}
-		c := Candidate{
-			Matches: int(binary.LittleEndian.Uint32(body[off:])),
-			Runs:    int(binary.LittleEndian.Uint32(body[off+4:])),
-		}
-		e, n, err := wire.DecodeEntry(body[off+8:])
-		if err != nil {
-			return nil, 0, fmt.Errorf("ranking: candidate %d: %w", i, err)
-		}
-		c.Entry = e
-		off += 8 + n
+	d := frame.NewDec(body, "ranking: report")
+	r := &Report{Total: int(d.U32()), Pruned: int(d.U32())}
+	count := d.Count(8 + wire.EntryMinSize)
+	for i := 0; i < count && d.Err() == nil; i++ {
+		c := Candidate{Matches: int(d.U32()), Runs: int(d.U32())}
+		wire.ReadEntry(d, &c.Entry)
 		r.Ranked = append(r.Ranked, c)
 	}
-	return r, off, nil
+	if err := d.Err(); err != nil {
+		return nil, 0, err
+	}
+	return r, d.Off(), nil
 }
 
 // Save writes the report. The full candidate state round-trips:
@@ -93,13 +74,7 @@ func DecodeReport(body []byte) (*Report, int, error) {
 // without access to the Correct Set.
 func (r *Report) Save(w io.Writer) error {
 	body := r.AppendReport(make([]byte, 0, 64+len(r.Ranked)*64))
-	out := append([]byte(reportMagic), 0, 0, 0, 0)
-	binary.LittleEndian.PutUint16(out[4:], reportVersion)
-	out = append(out, body...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], crc32.ChecksumIEEE(body))
-	out = append(out, tmp[:]...)
-	_, err := w.Write(out)
+	_, err := w.Write(frame.Seal(reportMagic, reportVersion, body))
 	return err
 }
 
@@ -109,17 +84,13 @@ func LoadReport(rd io.Reader) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < 8+12+4 {
-		return nil, fmt.Errorf("%w (only %d bytes)", ErrReportMagic, len(data))
-	}
-	if string(data[:4]) != reportMagic {
-		return nil, ErrReportMagic
-	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != reportVersion {
+	v, body, err := frame.Open(data, reportMagic)
+	switch {
+	case errors.Is(err, frame.ErrMagic):
+		return nil, fmt.Errorf("%w (%d bytes)", ErrReportMagic, len(data))
+	case v != reportVersion:
 		return nil, fmt.Errorf("%w %d", ErrReportVersion, v)
-	}
-	body, sum := data[8:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
+	case err != nil:
 		return nil, ErrReportCRC
 	}
 	r, off, err := DecodeReport(body)

@@ -2,13 +2,14 @@ package rca
 
 import (
 	"bytes"
-	"reflect"
 	"testing"
+
+	"act/internal/frame/frametest"
 )
 
-// FuzzLoadRCA throws arbitrary bytes at the verdict-file loader,
-// mirroring ranking's FuzzLoad invariants: Load never panics, and any
-// input it accepts must round-trip — saving the loaded report and
+// FuzzLoadRCA throws arbitrary bytes at the verdict-file loader under
+// the shared codec property (frametest.Check): Load never panics, and
+// any input it accepts must round-trip — saving the loaded report and
 // loading it again yields the same report. Damaged inputs must come
 // back as errors, not as garbage verdicts.
 func FuzzLoadRCA(f *testing.F) {
@@ -34,20 +35,12 @@ func FuzzLoadRCA(f *testing.F) {
 	f.Add([]byte("ACTV"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := Load(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if err := r.Save(&buf); err != nil {
-			t.Fatalf("re-saving accepted report: %v", err)
-		}
-		r2, err := Load(&buf)
-		if err != nil {
-			t.Fatalf("re-loading re-saved report: %v", err)
-		}
-		if !reflect.DeepEqual(r, r2) {
-			t.Fatalf("round-trip mismatch:\nfirst:  %+v\nsecond: %+v", r, r2)
-		}
+		frametest.Check(t, data, func(b []byte) (*Report, error) {
+			return Load(bytes.NewReader(b))
+		}, func(r *Report) ([]byte, error) {
+			var buf bytes.Buffer
+			err := r.Save(&buf)
+			return buf.Bytes(), err
+		})
 	})
 }

@@ -6,12 +6,17 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+
+	"act/internal/frame"
 )
 
 // Framed format (version 3), the hardened on-disk layout. Production
 // traces are collected in the field, where streams get truncated by
 // crashes and corrupted in transit; the framed format lets the reader
-// localize damage instead of discarding the whole trace.
+// localize damage instead of discarding the whole trace. The prologue
+// is internal/frame's; the header section and the record frames stay
+// local: a record frame has no kind or length, and the reader
+// resynchronizes on it in memory rather than on a frame.Section.
 //
 //	magic "ACTT" | u16 version=3 | u16 reserved
 //	header section: u32 length | bytes | u32 crc32(bytes)
@@ -97,12 +102,7 @@ func (r *CorruptionReport) String() string {
 // Write serializes the trace in the framed (version 3) format.
 func (t *Trace) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var pro [4]byte
-	binary.LittleEndian.PutUint16(pro[0:], versionFramed)
-	if _, err := bw.Write(pro[:]); err != nil {
+	if _, err := bw.Write(frame.AppendPrologue(nil, magic, versionFramed)); err != nil {
 		return err
 	}
 	hdr := make([]byte, fixedHeader+len(t.Program))
@@ -136,9 +136,9 @@ func (t *Trace) Write(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadReport deserializes a trace written by Write or WriteLegacy. For
-// plain streams it behaves exactly like the original reader (any damage
-// is an error). For framed streams corruption is not an error: the
+// ReadReport deserializes a trace written by Write, or a plain
+// (version 2) stream from older tooling. For plain streams it behaves
+// exactly like the original reader (any damage is an error). For framed streams corruption is not an error: the
 // reader skips damaged spans, resynchronizes on the next checksummed
 // frame, and returns the partial trace together with a CorruptionReport
 // saying what was lost. The error return is reserved for streams that
@@ -146,14 +146,15 @@ func (t *Trace) Write(w io.Writer) error {
 // prologue).
 func ReadReport(r io.Reader) (*Trace, *CorruptionReport, error) {
 	br := bufio.NewReader(r)
-	pro := make([]byte, 4+2+2)
+	pro := make([]byte, frame.PrologueLen)
 	if _, err := io.ReadFull(br, pro); err != nil {
 		return nil, nil, fmt.Errorf("trace: reading header: %w", err)
 	}
-	if string(pro[:4]) != magic {
+	v, err := frame.CheckPrologue(pro, magic)
+	if err != nil {
 		return nil, nil, ErrBadMagic
 	}
-	switch v := binary.LittleEndian.Uint16(pro[4:]); v {
+	switch v {
 	case versionPlain:
 		t, err := readPlain(br)
 		if err != nil {

@@ -3,23 +3,25 @@ package trace
 import (
 	"bytes"
 	"testing"
+
+	"act/internal/frame/frametest"
 )
 
-// FuzzRead drives ReadReport with arbitrary bytes: it must never panic,
-// never over-allocate from unvalidated length fields, and never return
-// both a nil trace and a nil error. Seeds cover both formats plus the
-// truncations and bit flips the fault injector produces.
+// FuzzRead drives ReadReport with arbitrary bytes under the shared
+// codec property (frametest.Check): it must never panic, an accepted
+// stream re-written in the framed format must read back to the same
+// trace, and the result stays linearly bounded by the input. On top of
+// that it must never over-allocate from unvalidated length fields and
+// never return both a nil trace and a nil error. Seeds cover both
+// formats plus the truncations and bit flips the fault injector
+// produces.
 func FuzzRead(f *testing.F) {
-	mk := func(write func(*Trace, *bytes.Buffer) error) []byte {
-		tr := bigTrace(16)
-		var buf bytes.Buffer
-		if err := write(tr, &buf); err != nil {
-			f.Fatal(err)
-		}
-		return buf.Bytes()
+	var buf bytes.Buffer
+	if err := bigTrace(16).Write(&buf); err != nil {
+		f.Fatal(err)
 	}
-	framed := mk(func(t *Trace, b *bytes.Buffer) error { return t.Write(b) })
-	legacy := mk(func(t *Trace, b *bytes.Buffer) error { return t.WriteLegacy(b) })
+	framed := buf.Bytes()
+	legacy := readGolden(f, "trace_v2.golden")
 	f.Add(framed)
 	f.Add(legacy)
 	f.Add(framed[:len(framed)/2])
@@ -32,27 +34,35 @@ func FuzzRead(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, rep, err := ReadReport(bytes.NewReader(data))
-		if err != nil {
-			if tr != nil {
-				t.Fatalf("error %v with non-nil trace", err)
+		decode := func(data []byte) (*Trace, error) {
+			tr, rep, err := ReadReport(bytes.NewReader(data))
+			if err != nil {
+				if tr != nil {
+					t.Fatalf("error %v with non-nil trace", err)
+				}
+				return nil, err
 			}
-			return
+			if tr == nil || rep == nil {
+				t.Fatal("nil trace or report with nil error")
+			}
+			// Every decoded record consumed at least recordPayload input
+			// bytes. A violation means a length field was trusted.
+			if len(tr.Records)*recordPayload > len(data) {
+				t.Fatalf("%d records from %d input bytes", len(tr.Records), len(data))
+			}
+			if cap(tr.Records) > maxPreallocRecords && cap(tr.Records) > 2*len(tr.Records) {
+				t.Fatalf("capacity %d for %d records: unvalidated preallocation", cap(tr.Records), len(tr.Records))
+			}
+			if len(tr.Records) == 0 {
+				tr.Records = nil // an empty stream and an empty trace are one value
+			}
+			return tr, nil
 		}
-		if tr == nil {
-			t.Fatal("nil trace with nil error")
+		encode := func(tr *Trace) ([]byte, error) {
+			var buf bytes.Buffer
+			err := tr.Write(&buf)
+			return buf.Bytes(), err
 		}
-		// Every decoded record consumed at least recordPayload input
-		// bytes, so the result is linearly bounded by the input. A
-		// violation means a length field was trusted somewhere.
-		if len(tr.Records)*recordPayload > len(data) {
-			t.Fatalf("%d records from %d input bytes", len(tr.Records), len(data))
-		}
-		if cap(tr.Records) > maxPreallocRecords && cap(tr.Records) > 2*len(tr.Records) {
-			t.Fatalf("capacity %d for %d records: unvalidated preallocation", cap(tr.Records), len(tr.Records))
-		}
-		if rep == nil {
-			t.Fatal("nil report with nil error")
-		}
+		frametest.Check(t, data, decode, encode)
 	})
 }

@@ -90,10 +90,12 @@ func (t *Trace) FilterStack() *Trace {
 //	records: u64 seq | u64 pc | u64 addr | u16 tid | u8 flags
 //
 // flags bit0 = store, bit1 = stack. The plain format has no redundancy:
-// one bad byte used to fail the whole trace. The framed format
-// (version 3, written by default — see framed.go) adds a per-section
-// CRC32 and self-delimiting record frames so a reader can skip corrupted
-// spans and resynchronize.
+// one bad byte used to fail the whole trace. Nothing writes it any more;
+// the reader stays for old streams, pinned by a checked-in golden
+// (internal/frame/testdata/trace_v2.golden). The framed format
+// (version 3, the one Write produces — see framed.go) adds a
+// per-section CRC32 and self-delimiting record frames so a reader can
+// skip corrupted spans and resynchronize.
 const (
 	magic         = "ACTT"
 	versionPlain  = 2 // original format: fixed-size records, no checksums
@@ -113,41 +115,7 @@ var (
 // records are actually read.
 const maxPreallocRecords = 64 * 1024
 
-// WriteLegacy serializes the trace in the plain (version 2) format —
-// kept so tooling can produce streams for consumers that predate the
-// framed format.
-func (t *Trace) WriteLegacy(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	hdr := make([]byte, 2+2+8+8+4)
-	binary.LittleEndian.PutUint16(hdr[0:], versionPlain)
-	binary.LittleEndian.PutUint64(hdr[4:], uint64(t.Seed))
-	binary.LittleEndian.PutUint64(hdr[12:], t.Steps)
-	binary.LittleEndian.PutUint32(hdr[20:], uint32(len(t.Program)))
-	if _, err := bw.Write(hdr); err != nil {
-		return err
-	}
-	if _, err := bw.WriteString(t.Program); err != nil {
-		return err
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(len(t.Records)))
-	if _, err := bw.Write(cnt[:]); err != nil {
-		return err
-	}
-	rec := make([]byte, recordPayload)
-	for _, r := range t.Records {
-		encodeRecord(rec, r)
-		if _, err := bw.Write(rec); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Read deserializes a trace written by Write or WriteLegacy. For framed
+// Read deserializes a trace (either version; see ReadReport). For framed
 // streams it recovers from corruption, returning the partial trace and
 // no error; use ReadReport when the caller needs to know what was lost.
 func Read(r io.Reader) (*Trace, error) {

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -107,28 +110,34 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestLegacyRoundTrip(t *testing.T) {
-	p := sampleProgram()
-	tr, _ := Collect(p, vm.SchedConfig{Seed: 3})
-	var buf bytes.Buffer
-	if err := tr.WriteLegacy(&buf); err != nil {
-		t.Fatal(err)
+// readGolden reads one of the checked-in format goldens shared with
+// internal/frame's golden test.
+func readGolden(tb testing.TB, name string) []byte {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "frame", "testdata", name))
+	if err != nil {
+		tb.Fatal(err)
 	}
-	got, rep, err := ReadReport(&buf)
+	return data
+}
+
+// TestLegacyRoundTrip reads the plain (version 2) golden, written once
+// by the retired legacy writer, and checks it decodes cleanly to the
+// same trace as the framed golden of the same input.
+func TestLegacyRoundTrip(t *testing.T) {
+	got, rep, err := ReadReport(bytes.NewReader(readGolden(t, "trace_v2.golden")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Corrupt() {
 		t.Fatalf("clean legacy stream reported corrupt: %v", rep)
 	}
-	if got.Program != tr.Program || got.Seed != tr.Seed || got.Steps != tr.Steps ||
-		len(got.Records) != len(tr.Records) {
-		t.Fatalf("legacy round trip mismatch: %+v vs %+v", got, tr)
+	want, err := Read(bytes.NewReader(readGolden(t, "trace_v3.golden")))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range got.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d: %+v vs %+v", i, got.Records[i], tr.Records[i])
-		}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy round trip mismatch: %+v vs %+v", got, want)
 	}
 }
 

@@ -5,8 +5,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
+
+	"act/internal/frame"
 )
 
 // Stream errors. ErrBadMagic and ErrBadVersion mean the peer is not
@@ -169,15 +170,16 @@ func (rd *Reader) Next() (*Batch, error) {
 // directly; Next wraps this for batch-only consumers.
 func (rd *Reader) NextFrame() (MsgType, []byte, error) {
 	if !rd.prologue {
-		pro := make([]byte, prologueLen)
+		pro := make([]byte, frame.PrologueLen)
 		if _, err := io.ReadFull(rd.br, pro); err != nil {
 			rd.rep.Truncated = true
 			return 0, nil, eofOf(err)
 		}
-		if string(pro[:4]) != Magic {
+		v, err := frame.CheckPrologue(pro, Magic)
+		if err != nil {
 			return 0, nil, ErrBadMagic
 		}
-		if v := binary.LittleEndian.Uint16(pro[4:]); v != Version {
+		if v != Version {
 			return 0, nil, fmt.Errorf("%w %d", ErrBadVersion, v)
 		}
 		rd.prologue = true
@@ -206,7 +208,7 @@ func (rd *Reader) NextFrame() (MsgType, []byte, error) {
 			rd.skip(1)
 			continue
 		}
-		frame, err := rd.br.Peek(frameHdr + plen + frameTail)
+		fr, err := rd.br.Peek(frameHdr + plen + frameTail)
 		if err != nil {
 			// Not enough bytes left for the declared frame: on a live
 			// connection Peek blocks until they arrive, so an error here
@@ -214,20 +216,18 @@ func (rd *Reader) NextFrame() (MsgType, []byte, error) {
 			rd.rep.Truncated = true
 			return 0, nil, eofOf(err)
 		}
-		body := frame[2 : frameHdr+plen]
-		crc := binary.LittleEndian.Uint32(frame[frameHdr+plen:])
-		if crc32.ChecksumIEEE(body) != crc {
+		typ, payload, _, err := frame.ParseSection(fr[2:], rd.maxPayload)
+		if err != nil {
 			rd.skip(1)
 			continue
 		}
 		// Copy the payload out of the bufio window so it survives the
 		// Discard; the buffer is reused across calls.
-		typ := MsgType(body[0])
-		rd.payload = append(rd.payload[:0], body[5:]...)
-		rd.br.Discard(frameHdr + plen + frameTail)
+		rd.payload = append(rd.payload[:0], payload...)
+		rd.br.Discard(len(fr))
 		rd.rep.Frames++
 		rd.inBad = false
-		return typ, rd.payload, nil
+		return MsgType(typ), rd.payload, nil
 	}
 }
 

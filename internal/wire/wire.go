@@ -12,9 +12,11 @@
 //	frames:   sync 0xB7 0x7B | u8 type | u32 payload length | payload |
 //	          u32 crc32(type | length | payload)
 //
-// All integers are little-endian; CRCs are IEEE CRC32. The CRC covers
-// the type and length bytes too, so a corrupted length cannot trick the
-// reader into swallowing a valid successor frame.
+// The prologue and everything after the sync pair are internal/frame's
+// prologue and section: all integers are little-endian, CRCs are IEEE
+// CRC32, and the CRC covers the type and length bytes too, so a
+// corrupted length cannot trick the reader into swallowing a valid
+// successor frame.
 //
 // The only payload type today is a Batch (type 1): one agent's drained
 // Debug Buffer entries plus a monitor-stats snapshot, tagged with the
@@ -26,11 +28,11 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame"
 )
 
 // Format constants.
@@ -40,9 +42,8 @@ const (
 
 	sync0, sync1 = 0xB7, 0x7B
 
-	prologueLen = 4 + 2 + 2
-	frameHdr    = 2 + 1 + 4 // sync pair, type byte, payload length
-	frameTail   = 4         // crc32
+	frameHdr  = 2 + frame.SectionHeader // sync pair, type byte, payload length
+	frameTail = frame.SectionTail       // crc32
 
 	// DefaultMaxPayload caps a frame's payload. The reader rejects
 	// larger declared lengths outright (a corrupted length field would
@@ -192,6 +193,12 @@ func DecodeEntry(b []byte) (core.DebugEntry, int, error) {
 	e.At = binary.LittleEndian.Uint64(b[2:])
 	e.Output = math.Float64frombits(binary.LittleEndian.Uint64(b[10:]))
 	e.Mode = core.Mode(b[18])
+	// An output is a network probability and a mode one of two states:
+	// anything else is corruption, and NaN would also break exact
+	// round trips (it compares unequal to itself).
+	if math.IsNaN(e.Output) || (e.Mode != core.Testing && e.Mode != core.Training) {
+		return e, 0, fmt.Errorf("wire: entry with output %v, mode %d", e.Output, b[18])
+	}
 	n := int(b[19])
 	if len(b) < entryFixed+n*depSize {
 		return e, 0, fmt.Errorf("wire: entry with %d deps truncated at %d bytes", n, len(b))
@@ -212,30 +219,36 @@ func DecodeEntry(b []byte) (core.DebugEntry, int, error) {
 // EntrySize returns the encoded size of an entry.
 func EntrySize(e core.DebugEntry) int { return entryFixed + len(e.Seq)*depSize }
 
-// AppendStats serializes the stats snapshot as eight u64 counters.
-func AppendStats(dst []byte, s core.Stats) []byte {
-	var tmp [8]byte
-	for _, v := range [...]uint64{s.Deps, s.Sequences, s.PredictedInvalid,
-		s.Updates, s.ModeSwitches, s.TrainingDeps, s.Snapshots, s.Recoveries} {
-		binary.LittleEndian.PutUint64(tmp[:], v)
-		dst = append(dst, tmp[:]...)
+// EntryMinSize is the smallest encoded entry (no dependences), the
+// per-element bound for frame.Dec.Count over entries.
+const EntryMinSize = entryFixed
+
+// ReadEntry decodes one entry at d's cursor into e, failing d on
+// damage — the DecodeEntry form for formats that embed entries in a
+// frame.Dec body. Decoding in place spares a copy of the entry per call.
+func ReadEntry(d *frame.Dec, e *core.DebugEntry) {
+	var n int
+	var err error
+	if *e, n, err = DecodeEntry(d.Rest()); err != nil {
+		d.Fail("%v", err)
 	}
-	return dst
+	d.Take(n)
 }
 
-// statsSize is the encoded size of a Stats snapshot.
-const statsSize = 8 * 8
-
-// DecodeStats reads a stats snapshot.
-func DecodeStats(b []byte) (core.Stats, int, error) {
-	if len(b) < statsSize {
-		return core.Stats{}, 0, fmt.Errorf("wire: stats truncated at %d bytes", len(b))
+// putStats appends the stats snapshot as eight u64 counters.
+func putStats(e *frame.Enc, s core.Stats) {
+	for _, v := range [...]uint64{s.Deps, s.Sequences, s.PredictedInvalid,
+		s.Updates, s.ModeSwitches, s.TrainingDeps, s.Snapshots, s.Recoveries} {
+		e.U64(v)
 	}
-	u := func(i int) uint64 { return binary.LittleEndian.Uint64(b[i*8:]) }
+}
+
+// readStats reads a snapshot written by putStats.
+func readStats(d *frame.Dec) core.Stats {
 	return core.Stats{
-		Deps: u(0), Sequences: u(1), PredictedInvalid: u(2), Updates: u(3),
-		ModeSwitches: u(4), TrainingDeps: u(5), Snapshots: u(6), Recoveries: u(7),
-	}, statsSize, nil
+		Deps: d.U64(), Sequences: d.U64(), PredictedInvalid: d.U64(), Updates: d.U64(),
+		ModeSwitches: d.U64(), TrainingDeps: d.U64(), Snapshots: d.U64(), Recoveries: d.U64(),
+	}
 }
 
 // EncodeBatch serializes a batch payload:
@@ -250,89 +263,51 @@ func EncodeBatch(dst []byte, b *Batch) ([]byte, error) {
 			return nil, fmt.Errorf("wire: entry %d sequence length %d exceeds %d", i, len(e.Seq), maxSeqLen)
 		}
 	}
-	var tmp [8]byte
-	binary.LittleEndian.PutUint16(tmp[:2], uint16(len(b.Agent)))
-	dst = append(dst, tmp[:2]...)
-	dst = append(dst, b.Agent...)
-	binary.LittleEndian.PutUint64(tmp[:], b.Run)
-	dst = append(dst, tmp[:]...)
-	binary.LittleEndian.PutUint64(tmp[:], b.Seq)
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, byte(b.Outcome))
-	dst = AppendStats(dst, b.Stats)
-	binary.LittleEndian.PutUint32(tmp[:4], uint32(len(b.Entries)))
-	dst = append(dst, tmp[:4]...)
+	enc := frame.Enc{B: dst}
+	enc.U16(uint16(len(b.Agent)))
+	enc.B = append(enc.B, b.Agent...)
+	enc.U64(b.Run)
+	enc.U64(b.Seq)
+	enc.U8(byte(b.Outcome))
+	putStats(&enc, b.Stats)
+	enc.U32(uint32(len(b.Entries)))
 	for _, e := range b.Entries {
-		dst = AppendEntry(dst, e)
+		enc.B = AppendEntry(enc.B, e)
 	}
-	return dst, nil
+	return enc.B, nil
 }
 
 // DecodeBatch parses a batch payload. The result shares no memory with
-// the input, so callers may decode out of a transient read buffer.
+// the input, so callers may decode out of a transient read buffer. An
+// outcome byte outside the three labels is corruption: filing a run
+// under it would drop the run's pending evidence.
 func DecodeBatch(p []byte) (*Batch, error) {
-	if len(p) < 2 {
-		return nil, fmt.Errorf("wire: batch payload %d bytes", len(p))
+	d := frame.NewDec(p, "wire: batch")
+	b := &Batch{Agent: string(d.Take(int(d.U16()))), Run: d.U64(), Seq: d.U64(), Outcome: Outcome(d.U8())}
+	if b.Outcome > OutcomeFailing {
+		d.Fail("outcome %d", b.Outcome)
 	}
-	alen := int(binary.LittleEndian.Uint16(p))
-	off := 2
-	if len(p) < off+alen+8+8+1+statsSize+4 {
-		return nil, fmt.Errorf("wire: batch truncated at %d bytes", len(p))
-	}
-	b := &Batch{Agent: string(p[off : off+alen])}
-	off += alen
-	b.Run = binary.LittleEndian.Uint64(p[off:])
-	b.Seq = binary.LittleEndian.Uint64(p[off+8:])
-	b.Outcome = Outcome(p[off+16])
-	off += 17
-	s, n, err := DecodeStats(p[off:])
-	if err != nil {
-		return nil, err
-	}
-	b.Stats = s
-	off += n
-	count := int(binary.LittleEndian.Uint32(p[off:]))
-	off += 4
-	if count > len(p)-off { // each entry takes at least one byte
-		return nil, fmt.Errorf("wire: batch declares %d entries in %d bytes", count, len(p)-off)
-	}
-	if count > 0 {
-		b.Entries = make([]core.DebugEntry, 0, count)
-	}
-	for i := 0; i < count; i++ {
-		e, n, err := DecodeEntry(p[off:])
-		if err != nil {
-			return nil, fmt.Errorf("wire: entry %d: %w", i, err)
+	b.Stats = readStats(d)
+	if count := d.Count(entryFixed); count > 0 {
+		b.Entries = make([]core.DebugEntry, count)
+		for i := 0; i < count && d.Err() == nil; i++ {
+			ReadEntry(d, &b.Entries[i])
 		}
-		b.Entries = append(b.Entries, e)
-		off += n
 	}
-	if off != len(p) {
-		return nil, fmt.Errorf("wire: %d trailing bytes after batch", len(p)-off)
+	if err := d.End(); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
 
-// AppendFrame wraps a payload in a checksummed frame.
+// AppendFrame wraps a payload in a checksummed frame: the sync pair,
+// then the payload as a frame section of kind typ.
 func AppendFrame(dst []byte, typ MsgType, payload []byte) []byte {
-	start := len(dst)
-	dst = append(dst, sync0, sync1, byte(typ))
-	var tmp [4]byte
-	binary.LittleEndian.PutUint32(tmp[:], uint32(len(payload)))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, payload...)
-	crc := crc32.ChecksumIEEE(dst[start+2:]) // type | length | payload
-	binary.LittleEndian.PutUint32(tmp[:], crc)
-	return append(dst, tmp[:]...)
+	return frame.AppendSection(append(dst, sync0, sync1), byte(typ), payload)
 }
 
 // AppendPrologue writes the stream prologue.
-func AppendPrologue(dst []byte) []byte {
-	dst = append(dst, Magic...)
-	var tmp [4]byte
-	binary.LittleEndian.PutUint16(tmp[0:], Version)
-	return append(dst, tmp[:]...)
-}
+func AppendPrologue(dst []byte) []byte { return frame.AppendPrologue(dst, Magic, Version) }
 
 // EncodeStateMsg serializes a MsgState payload: a shard's name plus its
 // opaque exported aggregate state (the fleet collector's snapshot
@@ -341,22 +316,15 @@ func EncodeStateMsg(dst []byte, shard string, state []byte) ([]byte, error) {
 	if len(shard) > math.MaxUint16 {
 		return nil, fmt.Errorf("wire: shard name %d bytes long", len(shard))
 	}
-	var tmp [2]byte
-	binary.LittleEndian.PutUint16(tmp[:], uint16(len(shard)))
-	dst = append(dst, tmp[:]...)
-	dst = append(dst, shard...)
-	return append(dst, state...), nil
+	e := frame.Enc{B: dst}
+	e.U16(uint16(len(shard)))
+	return append(append(e.B, shard...), state...), nil
 }
 
 // DecodeStateMsg parses a MsgState payload. The returned state aliases
 // p; copy it if the frame buffer will be reused.
 func DecodeStateMsg(p []byte) (shard string, state []byte, err error) {
-	if len(p) < 2 {
-		return "", nil, fmt.Errorf("wire: state payload %d bytes", len(p))
-	}
-	n := int(binary.LittleEndian.Uint16(p))
-	if len(p) < 2+n {
-		return "", nil, fmt.Errorf("wire: state payload truncated at %d bytes", len(p))
-	}
-	return string(p[2 : 2+n]), p[2+n:], nil
+	d := frame.NewDec(p, "wire: state payload")
+	shard = string(d.Take(int(d.U16())))
+	return shard, d.Rest(), d.Err()
 }

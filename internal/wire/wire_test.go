@@ -9,6 +9,8 @@ import (
 
 	"act/internal/core"
 	"act/internal/deps"
+	"act/internal/frame"
+	"act/internal/frame/frametest"
 )
 
 func testBatch(run, seq uint64, n int) *Batch {
@@ -163,7 +165,7 @@ func TestGarbagePrefixBetweenFrames(t *testing.T) {
 	s0 := encodeStream(testBatch(1, 0, 2))
 	s1 := encodeStream(testBatch(1, 1, 2)) // second stream minus prologue
 	junk := []byte{sync0, sync1, 0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x11}
-	data := append(append(append([]byte{}, s0...), junk...), s1[prologueLen:]...)
+	data := append(append(append([]byte{}, s0...), junk...), s1[frame.PrologueLen:]...)
 	got, rep := readAll(t, data)
 	if len(got) != 2 {
 		t.Fatalf("recovered %d batches, want 2", len(got))
@@ -176,10 +178,10 @@ func TestGarbagePrefixBetweenFrames(t *testing.T) {
 func TestOversizedFrameRejected(t *testing.T) {
 	huge := AppendFrame(AppendPrologue(nil), MsgBatch, make([]byte, 100))
 	// Forge the declared length far past the cap; reader must not stall.
-	huge[prologueLen+3] = 0xFF
-	huge[prologueLen+4] = 0xFF
-	huge[prologueLen+5] = 0xFF
-	huge[prologueLen+6] = 0x7F
+	huge[frame.PrologueLen+3] = 0xFF
+	huge[frame.PrologueLen+4] = 0xFF
+	huge[frame.PrologueLen+5] = 0xFF
+	huge[frame.PrologueLen+6] = 0x7F
 	rd := NewReader(bytes.NewReader(huge), 1<<10)
 	if _, err := rd.Next(); err != io.EOF {
 		t.Fatalf("want EOF, got %v", err)
@@ -241,7 +243,7 @@ func TestBatchKeyDistinguishes(t *testing.T) {
 // payloads do not occur at scan positions).
 func frameOffsets(data []byte) []int {
 	var out []int
-	i := prologueLen
+	i := frame.PrologueLen
 	for i+frameHdr <= len(data) {
 		if data[i] != sync0 || data[i+1] != sync1 {
 			break
@@ -322,15 +324,97 @@ func TestStateFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsOutOfRangeEnums: an outcome byte above
+// OutcomeFailing, a mode byte above Training and a NaN output are
+// corruption the CRC cannot catch (a peer computed it over the bad
+// byte), so the decoders refuse them.
+func TestDecodeRejectsOutOfRangeEnums(t *testing.T) {
+	b := testBatch(1, 0, 1)
+	p, err := EncodeBatch(nil, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome := 2 + len(b.Agent) + 16
+	bad := bytes.Clone(p)
+	bad[outcome] = byte(OutcomeFailing) + 1
+	if _, err := DecodeBatch(bad); err == nil {
+		t.Error("batch with outcome 3 accepted")
+	}
+	entry := outcome + 1 + 8*8 + 4
+	bad = bytes.Clone(p)
+	bad[entry+18] = byte(core.Training) + 1
+	if _, err := DecodeBatch(bad); err == nil {
+		t.Error("entry with mode 2 accepted")
+	}
+	bad = bytes.Clone(p)
+	copy(bad[entry+10:], []byte{1, 0, 0, 0, 0, 0, 0xF8, 0x7F}) // a NaN
+	if _, err := DecodeBatch(bad); err == nil {
+		t.Error("entry with NaN output accepted")
+	}
+	if _, err := DecodeBatch(p); err != nil {
+		t.Fatalf("unmodified batch rejected: %v", err)
+	}
+}
+
+// fuzzFrame is one decoded frame of a fuzzed stream: a batch, or a
+// shard-state push.
+type fuzzFrame struct {
+	Batch *Batch
+	Shard string
+	State []byte
+}
+
+// FuzzReaderNeverPanics reads arbitrary bytes as a wire stream under
+// the shared codec property (frametest.Check): the reader never panics,
+// the frames it accepts re-write to a stream that reads back to the
+// same frames, and that stream is no larger than the input allows.
 func FuzzReaderNeverPanics(f *testing.F) {
 	f.Add(encodeStream(testBatch(1, 0, 3)))
 	f.Add([]byte("ACTW\x01\x00\x00\x00garbage"))
-	f.Fuzz(func(t *testing.T, data []byte) {
+	decode := func(data []byte) ([]fuzzFrame, error) {
 		rd := NewReader(bytes.NewReader(data), 1<<16)
-		for i := 0; i < 1000; i++ {
-			if _, err := rd.Next(); err != nil {
-				return
+		var out []fuzzFrame
+		for {
+			typ, p, err := rd.NextFrame()
+			if err == io.EOF {
+				return out, nil
+			}
+			if err != nil {
+				return nil, err
+			}
+			switch typ {
+			case MsgBatch:
+				if b, err := DecodeBatch(p); err == nil {
+					out = append(out, fuzzFrame{Batch: b})
+				}
+			case MsgState:
+				if shard, state, err := DecodeStateMsg(p); err == nil {
+					out = append(out, fuzzFrame{Shard: shard, State: bytes.Clone(state)})
+				}
 			}
 		}
+	}
+	encode := func(frames []fuzzFrame) ([]byte, error) {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		for _, fr := range frames {
+			if fr.Batch != nil {
+				if err := w.WriteBatch(fr.Batch); err != nil {
+					return nil, err
+				}
+				continue
+			}
+			msg, err := EncodeStateMsg(nil, fr.Shard, fr.State)
+			if err == nil {
+				err = w.WriteFrame(MsgState, msg)
+			}
+			if err != nil {
+				return nil, err
+			}
+		}
+		return buf.Bytes(), nil
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		frametest.Check(t, data, decode, encode)
 	})
 }
