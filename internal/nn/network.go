@@ -24,8 +24,9 @@ import (
 // output neuron: the paper's "total neuron 11" with M = 10).
 const MaxInputs = 10
 
-// Activation computes the neuron activation function. The default is the
-// exact sigmoid; the hardware model substitutes a quantized lookup table.
+// Activation computes the neuron activation function. A nil Activation
+// is the exact sigmoid; the hardware model substitutes a quantized
+// lookup table.
 type Activation func(float64) float64
 
 // Sigmoid is the exact logistic function.
@@ -39,8 +40,10 @@ type Network struct {
 	// WH[h] holds hidden neuron h's weights: NIn input weights then the
 	// bias. WO holds the output neuron's weights: NHidden weights then
 	// the bias.
-	WH  [][]float64
-	WO  []float64
+	WH [][]float64
+	WO []float64
+	// Act is the neuron activation; nil means Sigmoid, called directly
+	// so that the compiler can inline it.
 	Act Activation
 	// Momentum is the classical momentum coefficient applied by Train
 	// (0 disables it). Momentum is training state, not part of the
@@ -58,7 +61,7 @@ func New(nIn, nHidden int, rng *rand.Rand) *Network {
 	if nIn < 1 || nIn > MaxInputs || nHidden < 1 || nHidden > MaxInputs {
 		panic(fmt.Sprintf("nn: invalid topology %d-%d-1", nIn, nHidden))
 	}
-	n := &Network{NIn: nIn, NHidden: nHidden, Act: Sigmoid}
+	n := &Network{NIn: nIn, NHidden: nHidden}
 	n.WH = make([][]float64, nHidden)
 	for h := range n.WH {
 		w := make([]float64, nIn+1)
@@ -89,29 +92,40 @@ func (n *Network) Clone() *Network {
 
 // Forward computes the network output for input x (len must be NIn).
 // It is on the classification hot path and allocation-free; the panic
-// guard below fires only on programmer error.
+// guard in forward fires only on programmer error.
 //
 //act:noalloc
 func (n *Network) Forward(x []float64) float64 {
+	statForward.Inc()
+	return n.forward(x)
+}
+
+// forward is Forward without the counter.
+//
+//act:noalloc
+func (n *Network) forward(x []float64) float64 {
 	if len(x) != n.NIn {
 		//act:alloc-ok topology-mismatch panic, cold guard
 		panic(fmt.Sprintf("nn: input width %d, want %d", len(x), n.NIn))
 	}
-	statForward.Inc()
 	act := n.Act
-	if act == nil {
-		act = Sigmoid
-	}
 	for h, w := range n.WH {
 		sum := w[n.NIn] // bias
 		for i, xi := range x {
 			sum += w[i] * xi
 		}
-		n.hidden[h] = act(sum) //act:alloc-ok-call activation functions are pure math
+		if act == nil {
+			n.hidden[h] = Sigmoid(sum)
+		} else {
+			n.hidden[h] = act(sum) //act:alloc-ok-call activation functions are pure math
+		}
 	}
 	sum := n.WO[n.NHidden]
 	for h, hv := range n.hidden {
 		sum += n.WO[h] * hv
+	}
+	if act == nil {
+		return Sigmoid(sum)
 	}
 	return act(sum) //act:alloc-ok-call activation functions are pure math
 }
@@ -131,8 +145,15 @@ func (n *Network) Valid(x []float64) bool { return n.Forward(x) >= 0.5 }
 //
 //act:noalloc
 func (n *Network) Train(x []float64, target, lr float64) float64 {
-	statTrain.Inc()
-	o := n.Forward(x)
+	countSteps(1)
+	return n.step(x, target, lr)
+}
+
+// step is Train without the counters.
+//
+//act:noalloc
+func (n *Network) step(x []float64, target, lr float64) float64 {
+	o := n.forward(x)
 	errOut := o * (1 - o) * (target - o)
 	mu := n.Momentum
 	if mu > 0 && n.vh == nil {
@@ -261,7 +282,7 @@ func (n *Network) UnmarshalBinary(data []byte) error {
 	for i := range flat {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[blobHeader+8*i:]))
 	}
-	*n = Network{NIn: nIn, NHidden: nHidden, Act: Sigmoid, hidden: make([]float64, nHidden)}
+	*n = Network{NIn: nIn, NHidden: nHidden, hidden: make([]float64, nHidden)}
 	n.WH = make([][]float64, nHidden)
 	for h := range n.WH {
 		n.WH[h] = make([]float64, nIn+1)

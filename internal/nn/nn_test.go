@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -196,5 +197,92 @@ func TestEvaluateEmpty(t *testing.T) {
 	n := New(2, 2, rand.New(rand.NewSource(1)))
 	if Evaluate(n, nil) != 0 {
 		t.Fatal("empty evaluation should be 0")
+	}
+}
+
+// xorSamples is the XOR dataset TestLearnXOR uses.
+func xorSamples() []Sample {
+	return []Sample{
+		{X: []float64{0.1, 0.1}, Y: 0.1},
+		{X: []float64{0.1, 0.9}, Y: 0.9},
+		{X: []float64{0.9, 0.1}, Y: 0.9},
+		{X: []float64{0.9, 0.9}, Y: 0.1},
+	}
+}
+
+// TestTrainRestartMatchesTrainNew checks that restarts trained out of
+// order on other goroutines, then chosen by BestRestart, give TrainNew's
+// network, and that only the restarts taken are counted.
+func TestTrainRestartMatchesTrainNew(t *testing.T) {
+	samples := xorSamples()
+	cfg := FitConfig{Seed: 5, MaxEpochs: 300, Restarts: 4}
+	steps0 := statTrain.Value()
+	want, wantRes := TrainNew(2, 3, samples, cfg)
+	wantSteps := statTrain.Value() - steps0
+
+	rs := make([]Restart, cfg.RestartCount())
+	done := make(chan struct{})
+	for r := len(rs) - 1; r >= 0; r-- {
+		go func() {
+			rs[r] = TrainRestart(2, 3, samples, cfg, r, nil)
+			done <- struct{}{}
+		}()
+	}
+	for range rs {
+		<-done
+	}
+	steps0 = statTrain.Value()
+	got, gotRes, took := BestRestart(cfg, func(r int) Restart { return rs[r] })
+	if gotSteps := statTrain.Value() - steps0; gotSteps != wantSteps {
+		t.Errorf("BestRestart counted %d steps, TrainNew %d", gotSteps, wantSteps)
+	}
+	if gotRes != wantRes {
+		t.Errorf("fit %+v, want %+v", gotRes, wantRes)
+	}
+	var counted int
+	for _, r := range rs[:took] {
+		counted += r.Fit.Epochs * len(samples)
+	}
+	if uint64(counted) != wantSteps {
+		t.Errorf("%d restarts taken train %d steps, counters say %d", took, counted, wantSteps)
+	}
+	gw, ww := got.Flatten(nil), want.Flatten(nil)
+	for i := range ww {
+		if math.Float64bits(gw[i]) != math.Float64bits(ww[i]) {
+			t.Fatalf("weight %d: %v, want %v", i, gw[i], ww[i])
+		}
+	}
+}
+
+// TestTrainRestartStops checks that a set stop flag ends a fit before
+// its next epoch and that nothing is counted until a restart is taken.
+func TestTrainRestartStops(t *testing.T) {
+	var stop atomic.Bool
+	stop.Store(true)
+	steps0, fwd0 := statTrain.Value(), statForward.Value()
+	rs := TrainRestart(2, 3, xorSamples(), FitConfig{MaxEpochs: 1 << 30}, 0, &stop)
+	if rs.Fit.Epochs != 0 {
+		t.Errorf("stopped restart ran %d epochs", rs.Fit.Epochs)
+	}
+	rs = TrainRestart(2, 3, xorSamples(), FitConfig{MaxEpochs: 10, Patience: 10}, 0, nil)
+	if rs.Fit.Epochs != 10 {
+		t.Errorf("restart ran %d epochs, want 10", rs.Fit.Epochs)
+	}
+	if statTrain.Value() != steps0 || statForward.Value() != fwd0 {
+		t.Error("TrainRestart counted steps before any restart was taken")
+	}
+}
+
+// TestNilActIsSigmoid checks that a nil activation is the exact sigmoid.
+func TestNilActIsSigmoid(t *testing.T) {
+	n := New(3, 4, rand.New(rand.NewSource(2)))
+	if n.Act != nil {
+		t.Fatal("New installed an activation; nil means the exact sigmoid")
+	}
+	x := []float64{0.2, 0.7, 0.4}
+	got := n.Forward(x)
+	n.Act = Sigmoid
+	if want := n.Forward(x); math.Float64bits(got) != math.Float64bits(want) {
+		t.Errorf("nil Act output %v, Sigmoid %v", got, want)
 	}
 }

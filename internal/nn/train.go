@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync/atomic"
 )
 
 // Sample is one labelled training input.
@@ -25,7 +26,7 @@ type FitConfig struct {
 	TargetMSE    float64 // stop when epoch MSE falls below; default 0.005
 	Seed         int64   // shuffling and weight init
 	Patience     int     // epochs without improvement before stopping; default 50
-	Momentum     float64 // classical momentum; default 0.8 (negative disables)
+	Momentum     float64 // classical momentum; default 0.9 (negative disables)
 	Restarts     int     // random-init restarts in TrainNew; default 3
 }
 
@@ -63,7 +64,15 @@ type FitResult struct {
 // backpropagation until the MSE target, patience, or epoch budget is
 // reached.
 func Fit(n *Network, samples []Sample, cfg FitConfig) FitResult {
-	cfg = cfg.withDefaults()
+	res := fit(n, samples, cfg.withDefaults(), nil)
+	countSteps(res.Epochs * len(samples))
+	return res
+}
+
+// fit is Fit without the counters, which the caller adds for the fits
+// it keeps. It gives up before the next epoch once stop is set (nil
+// never stops); a stopped fit's network is unfinished.
+func fit(n *Network, samples []Sample, cfg FitConfig, stop *atomic.Bool) FitResult {
 	n.Momentum = max(0, cfg.Momentum)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(samples))
@@ -74,11 +83,14 @@ func Fit(n *Network, samples []Sample, cfg FitConfig) FitResult {
 	stale := 0
 	res := FitResult{MSE: 1}
 	for epoch := 1; epoch <= cfg.MaxEpochs; epoch++ {
+		if stop != nil && stop.Load() {
+			break
+		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		var sse float64
 		for _, i := range order {
 			s := samples[i]
-			o := n.Train(s.X, s.Y, cfg.LearningRate)
+			o := n.step(s.X, s.Y, cfg.LearningRate)
 			d := s.Y - o
 			sse += d * d
 		}
@@ -94,6 +106,13 @@ func Fit(n *Network, samples []Sample, cfg FitConfig) FitResult {
 		}
 	}
 	return res
+}
+
+// countSteps adds steps backpropagation steps, each with its forward
+// pass, to the network counters.
+func countSteps(steps int) {
+	statTrain.Add(uint64(steps))
+	statForward.Add(uint64(steps))
 }
 
 // Evaluate returns the fraction of samples the network misclassifies
@@ -116,22 +135,56 @@ func Evaluate(n *Network, samples []Sample) float64 {
 // final MSE) wins. Restarts stop early once a fit reaches the MSE
 // target.
 func TrainNew(nIn, nHidden int, samples []Sample, cfg FitConfig) (*Network, FitResult) {
+	net, res, _ := BestRestart(cfg, func(r int) Restart {
+		return TrainRestart(nIn, nHidden, samples, cfg, r, nil)
+	})
+	return net, res
+}
+
+// Restart is one random-init restart of TrainNew, trained but not yet
+// counted: BestRestart counts the restarts it takes.
+type Restart struct {
+	Net   *Network
+	Fit   FitResult
+	steps int
+}
+
+// TrainRestart runs restart r of TrainNew(nIn, nHidden, samples, cfg):
+// its own seed, initialization and fit, so restarts may run in any
+// order and on any goroutine. The samples are only read. The fit gives
+// up before its next epoch once stop is set (nil never stops); a
+// stopped restart must be discarded.
+func TrainRestart(nIn, nHidden int, samples []Sample, cfg FitConfig, r int, stop *atomic.Bool) Restart {
+	cfg = cfg.withDefaults()
+	seed := cfg.Seed + int64(nIn)*1000 + int64(nHidden) + int64(r)*7_777_777
+	n := New(nIn, nHidden, rand.New(rand.NewSource(seed)))
+	cfg.Seed = seed
+	res := fit(n, samples, cfg, stop)
+	return Restart{Net: n, Fit: res, steps: res.Epochs * len(samples)}
+}
+
+// BestRestart is TrainNew's choice over restarts that next produces in
+// order r = 0, 1, ...: the lowest final MSE wins, and no further restart
+// is taken once the best reaches the MSE target. It counts the work of
+// every restart it takes and returns how many it took; the caller
+// discards any restart beyond them.
+func BestRestart(cfg FitConfig, next func(r int) Restart) (*Network, FitResult, int) {
 	cfg = cfg.withDefaults()
 	var bestNet *Network
 	var best FitResult
 	best.MSE = 1e18
 	for r := 0; r < cfg.Restarts; r++ {
-		seed := cfg.Seed + int64(nIn)*1000 + int64(nHidden) + int64(r)*7_777_777
-		n := New(nIn, nHidden, rand.New(rand.NewSource(seed)))
-		c := cfg
-		c.Seed = seed
-		res := Fit(n, samples, c)
-		if res.MSE < best.MSE {
-			bestNet, best = n, res
+		rs := next(r)
+		countSteps(rs.steps)
+		if rs.Fit.MSE < best.MSE {
+			bestNet, best = rs.Net, rs.Fit
 		}
 		if best.MSE < cfg.TargetMSE {
-			break
+			return bestNet, best, r + 1
 		}
 	}
-	return bestNet, best
+	return bestNet, best, cfg.Restarts
 }
+
+// RestartCount returns the most restarts TrainNew runs under c.
+func (c FitConfig) RestartCount() int { return c.withDefaults().Restarts }

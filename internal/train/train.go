@@ -3,13 +3,18 @@
 // generator to become positive and synthesized negative dependence-
 // sequence examples, a topology search picks the i-h-1 network with the
 // lowest held-out misprediction rate, and the winning weights are
-// serialized for embedding in the "program binary".
+// serialized for embedding in the "program binary". The restarts of
+// each stage's fits run ahead of the consumer on every core
+// (speculate.go), and the bytes trained are the sequential schedule's.
+//
+//act:goleak
 package train
 
 import (
 	"fmt"
 	"math/bits"
 	"sort"
+	"sync/atomic"
 
 	"act/internal/deps"
 	"act/internal/nn"
@@ -24,17 +29,10 @@ var (
 	statFits = obs.Default.Counter("act_train_fits_total",
 		"Candidate and final network fits run by the offline pipeline.")
 	statFitNS = obs.Default.Histogram("act_train_fit_ns",
-		"Duration of one network fit in nanoseconds.")
+		"Wall time the offline pipeline waited for one network fit, in nanoseconds.")
+	statAbandoned = obs.Default.Counter("act_train_fits_abandoned_total",
+		"Restarts trained ahead of the offline pipeline that it cancelled or discarded.")
 )
-
-// fitNew wraps nn.TrainNew with the fit counter and span.
-func fitNew(nIn, nHidden int, samples []nn.Sample, cfg nn.FitConfig) (*nn.Network, nn.FitResult) {
-	sp := obs.StartSpan(statFitNS)
-	net, fit := nn.TrainNew(nIn, nHidden, samples, cfg)
-	sp.End()
-	statFits.Inc()
-	return net, fit
-}
 
 // Config controls the offline pipeline.
 type Config struct {
@@ -194,9 +192,13 @@ func Train(trainTraces, testTraces []*trace.Trace, cfg Config) (*Result, error) 
 		byN[n] = p
 	}
 
-	res := &Result{N: 0, Encoder: cfg.Encoder, TrainTraces: len(trainTraces)}
-	best := Trial{FP: 2, FN: 2}
-	var bestNet *nn.Network
+	// The topology search: every candidate is fit, in order, and the
+	// best held-out score wins.
+	type candidate struct {
+		n, h, in int
+		p        *perN
+	}
+	var cands []candidate
 	for _, n := range cfg.Ns {
 		p := byN[n]
 		if len(p.samples) == 0 {
@@ -207,19 +209,31 @@ func Train(trainTraces, testTraces []*trace.Trace, cfg Config) (*Result, error) 
 			continue
 		}
 		for _, h := range cfg.Hs {
-			net, fit := fitNew(in, h, p.samples, cfg.SearchFit)
-			tr := Trial{
-				N: n, Hidden: h, Epochs: fit.Epochs,
-				FP: dynamicFPRate(net, p.test),
-				FN: acceptRate(net, p.negs),
-			}
-			res.Trials = append(res.Trials, tr)
-			if tr.Score() < best.Score() || (tr.Score() == best.Score() && cheaper(tr, best)) {
-				best = tr
-				bestNet = net
-			}
+			cands = append(cands, candidate{n: n, h: h, in: in, p: p})
 		}
 	}
+	rs := cfg.SearchFit.RestartCount()
+	search := newStage(len(cands)*rs, func(k int, stop *atomic.Bool) nn.Restart {
+		c := cands[k/rs]
+		return nn.TrainRestart(c.in, c.h, c.p.samples, cfg.SearchFit, k%rs, stop)
+	})
+	res := &Result{N: 0, Encoder: cfg.Encoder, TrainTraces: len(trainTraces)}
+	best := Trial{FP: 2, FN: 2}
+	var bestNet *nn.Network
+	for i, c := range cands {
+		net, fit := search.fit(i*rs, cfg.SearchFit)
+		tr := Trial{
+			N: c.n, Hidden: c.h, Epochs: fit.Epochs,
+			FP: dynamicFPRate(net, c.p.test),
+			FN: acceptRate(net, c.p.negs),
+		}
+		res.Trials = append(res.Trials, tr)
+		if tr.Score() < best.Score() || (tr.Score() == best.Score() && cheaper(tr, best)) {
+			best = tr
+			bestNet = net
+		}
+	}
+	search.close()
 	if best.Score() > 2 {
 		return nil, fmt.Errorf("train: no viable topology (no sequences formed?)")
 	}
@@ -230,17 +244,22 @@ func Train(trainTraces, testTraces []*trace.Trace, cfg Config) (*Result, error) 
 	// scores worse than the search winner.
 	p := byN[best.N]
 	in := deps.InputLen(cfg.Encoder, best.N)
-	net, _ := fitNew(in, best.Hidden, p.samples, cfg.FinalFit)
-	for _, lr := range []float64{0.5, 0.9} {
+	fits := []nn.FitConfig{cfg.FinalFit, cfg.FinalFit, cfg.FinalFit}
+	fits[1].LearningRate, fits[2].LearningRate = 0.5, 0.9
+	rf := cfg.FinalFit.RestartCount()
+	final := newStage(len(fits)*rf, func(k int, stop *atomic.Bool) nn.Restart {
+		return nn.TrainRestart(in, best.Hidden, p.samples, fits[k/rf], k%rf, stop)
+	})
+	net, _ := final.fit(0, fits[0])
+	for g := 1; g < len(fits); g++ {
 		if nn.Evaluate(net, p.samples) <= 0.02 {
 			break
 		}
-		fc := cfg.FinalFit
-		fc.LearningRate = lr
-		if alt, _ := fitNew(in, best.Hidden, p.samples, fc); nn.Evaluate(alt, p.samples) < nn.Evaluate(net, p.samples) {
+		if alt, _ := final.fit(g*rf, fits[g]); nn.Evaluate(alt, p.samples) < nn.Evaluate(net, p.samples) {
 			net = alt
 		}
 	}
+	final.close()
 	if finalScore := dynamicFPRate(net, p.test) + acceptRate(net, p.negs); finalScore > best.Score() && bestNet != nil {
 		net = bestNet
 	}
